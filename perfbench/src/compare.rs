@@ -13,7 +13,14 @@
 //! * `unchanged` — otherwise.
 //!
 //! Per-layer metrics have no bound; their rows show the medians and
-//! the change as `info`. Exits 1 when any row is `worse`.
+//! the change as `info`.
+//!
+//! Before the metrics, each workload gets a `failed` row with both
+//! sides' failed-operation totals. When a change run reports
+//! `"correct": false`, or the change side failed more operations than
+//! the base, the workload is `invalid` and so is every metric row of
+//! it: a gain does not count when outputs are wrong. Exits 1 when any
+//! row is `worse` or `invalid`.
 
 use crate::manifest::{Manifest, Metric};
 use crate::stats::{median, spread};
@@ -22,6 +29,8 @@ use std::path::Path;
 
 struct Record {
     workload: String,
+    correct: bool,
+    failed: u64,
     values: Vec<(String, f64)>,
 }
 
@@ -32,14 +41,22 @@ fn load(path: &Path) -> Result<Vec<Record>, String> {
     for (i, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
         let doc = Json::parse(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
         let workload = doc.get("workload").and_then(Json::as_str).unwrap_or_default().to_string();
-        let Some(Json::Obj(metrics)) = doc.get("result").and_then(|r| r.get("metrics")) else {
-            return Err(format!("{}:{}: no result.metrics object", path.display(), i + 1));
+        let result = doc.get("result");
+        let field = |key: &str| result.and_then(|r| r.get(key));
+        let (Some(Json::Obj(metrics)), Some(&Json::Bool(correct)), Some(failed)) =
+            (field("metrics"), field("correct"), field("failed").and_then(Json::as_f64))
+        else {
+            return Err(format!(
+                "{}:{}: a result needs metrics, correct and failed",
+                path.display(),
+                i + 1
+            ));
         };
         let values = metrics
             .iter()
             .filter_map(|(name, m)| Some((name.clone(), m.get("value")?.as_number()?)))
             .collect();
-        records.push(Record { workload, values });
+        records.push(Record { workload, correct, failed: failed as u64, values });
     }
     Ok(records)
 }
@@ -50,6 +67,18 @@ fn values(records: &[Record], workload: &str, metric: &str) -> Vec<f64> {
         .filter(|r| r.workload == workload)
         .flat_map(|r| r.values.iter().filter(|(n, _)| n == metric).map(|(_, v)| *v))
         .collect()
+}
+
+/// Both sides' failed-operation totals on `workload`, and whether the
+/// change side is valid: every change run correct, and no more failures
+/// than the base.
+fn failures(base: &[Record], change: &[Record], workload: &str) -> (u64, u64, bool) {
+    let of = |rs: &[Record]| -> (u64, bool) {
+        let runs = rs.iter().filter(|r| r.workload == workload);
+        runs.fold((0, true), |(failed, correct), r| (failed + r.failed, correct && r.correct))
+    };
+    let ((fa, _), (fb, all_correct)) = (of(base), of(change));
+    (fa, fb, all_correct && fb <= fa)
 }
 
 /// The verdict for one metric given base runs `xs` and change runs `ys`.
@@ -86,8 +115,24 @@ pub fn main(argv: &[String]) -> Result<i32, String> {
         "{:<12} {:<26} {:>14} {:>14} {:>8} {:>8} {:>6}  verdict",
         "workload", "metric", "base", "change", "delta%", "spread", "bound"
     );
-    let mut any_worse = false;
+    let mut reject = false;
     for w in &manifest.workloads {
+        if !a.iter().chain(&b).any(|r| &r.workload == w) {
+            continue;
+        }
+        let (fa, fb, valid) = failures(&a, &b, w);
+        reject |= !valid;
+        println!(
+            "{:<12} {:<26} {:>14} {:>14} {:>8} {:>8} {:>6}  {}",
+            w,
+            "failed",
+            fa,
+            fb,
+            "-",
+            "-",
+            "-",
+            if valid { "ok" } else { "invalid" }
+        );
         for m in manifest.all() {
             let (xs, ys) = (values(&a, w, &m.name), values(&b, w, &m.name));
             if xs.is_empty() || ys.is_empty() {
@@ -103,8 +148,8 @@ pub fn main(argv: &[String]) -> Result<i32, String> {
                 (Some(sa), Some(sb)) => format!("{:.3}", sa.max(sb)),
                 _ => "-".into(),
             };
-            let v = verdict(m, &xs, &ys);
-            any_worse |= v == "worse";
+            let v = if valid { verdict(m, &xs, &ys) } else { "invalid" };
+            reject |= v == "worse";
             println!(
                 "{:<12} {:<26} {:>14.6} {:>14.6} {:>8} {:>8} {:>6}  {v}",
                 w,
@@ -117,7 +162,7 @@ pub fn main(argv: &[String]) -> Result<i32, String> {
             );
         }
     }
-    Ok(i32::from(any_worse))
+    Ok(i32::from(reject))
 }
 
 #[cfg(test)]
@@ -147,5 +192,27 @@ mod tests {
         assert_eq!(verdict(&m, &noisy, &[0.50, 0.55, 0.60, 0.52, 0.58]), "better");
         let layer = Metric { bound: None, ..wall(0.1) };
         assert_eq!(verdict(&layer, &base, &noisy), "info");
+    }
+
+    fn record(workload: &str, correct: bool, failed: u64) -> Record {
+        Record { workload: workload.into(), correct, failed, values: Vec::new() }
+    }
+
+    #[test]
+    fn failures_invalidate_the_change_side() {
+        let clean = [record("w", true, 0), record("w", true, 0)];
+        assert_eq!(failures(&clean, &clean, "w"), (0, 0, true));
+        // One incorrect change run invalidates the workload, even when
+        // the base failed as often.
+        let broken = [record("w", true, 0), record("w", false, 2)];
+        assert_eq!(failures(&clean, &broken, "w"), (0, 2, false));
+        assert_eq!(failures(&broken, &broken, "w"), (2, 2, false));
+        // A correct change that fixes base failures is valid.
+        assert_eq!(failures(&broken, &clean, "w"), (2, 0, true));
+        // More failures than the base, even if each run claims correct.
+        let more = [record("w", true, 3)];
+        assert_eq!(failures(&broken, &more, "w"), (2, 3, false));
+        // Other workloads' records do not count.
+        assert_eq!(failures(&clean, &[record("v", false, 5)], "w"), (0, 0, true));
     }
 }

@@ -2,7 +2,6 @@
 //! layers from telemetry deltas, plus the `rng`/`core`/`automaton`
 //! unit-cost probes.
 
-use crate::stats::median;
 use crate::{probes, Sheet};
 use ants_obs::{Counter, Phase, Snapshot};
 
@@ -13,19 +12,10 @@ pub struct Traced {
     /// Sum of the per-pass deltas.
     pub tn: Snapshot,
     pub tn_passes: usize,
-    /// Engine steps of each pass (these vary slightly with how
-    /// speculative agent chunks race the cap hint).
-    pub steps: Vec<u64>,
 }
 
 impl Traced {
-    /// The median engine steps of one pass.
-    pub fn median_steps(&self) -> f64 {
-        median(&self.steps.iter().map(|&s| s as f64).collect::<Vec<_>>())
-    }
-
     pub fn add(&mut self, delta: Snapshot) {
-        self.steps.push(delta.counter(Counter::EngineSteps));
         self.tn = self.tn.merge(&delta);
         self.tn_passes += 1;
     }

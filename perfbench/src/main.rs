@@ -24,7 +24,6 @@ mod compare;
 mod layers;
 mod manifest;
 mod probes;
-mod serve;
 mod stats;
 mod sweep;
 
@@ -59,7 +58,7 @@ pub struct Work {
     pub trials: f64,
     /// Report rows delivered.
     pub cells: f64,
-    /// Spec runs or daemon requests completed.
+    /// Spec runs completed.
     pub requests: f64,
 }
 
@@ -77,12 +76,10 @@ pub struct Passes<T> {
 /// worker and at `nproc` (untraced run), or untraced and traced at
 /// `nproc` (traced run, so drift in the host's speed hits both sides of
 /// `trace_overhead_pct`). `pass(iteration, one_worker, traced)` runs
-/// one pass; `enough` may hold the loop open until a sample count is
-/// reached.
+/// one pass. [`HARD_CAP`] ends any loop.
 pub fn closed_loop<T>(
     args: &Args,
     mut pass: impl FnMut(u64, bool, bool) -> Result<T, String>,
-    enough: impl Fn(&Passes<T>) -> bool,
 ) -> Result<Passes<T>, String> {
     let schedule: &[(bool, bool)] = if args.trace {
         &[(false, false), (false, true)]
@@ -103,7 +100,7 @@ pub fn closed_loop<T>(
         }
         let elapsed = start.elapsed();
         let closed = iteration + 1 >= min_iterations && elapsed.as_secs_f64() >= args.seconds;
-        if elapsed >= HARD_CAP || (closed && enough(&out)) {
+        if closed || elapsed >= HARD_CAP {
             break;
         }
     }
@@ -138,8 +135,7 @@ pub fn put_run_totals(sheet: &mut Sheet, traced: &[Work], untraced: &[Work], led
     sheet.put("failed_ratio", ledger.failed_ratio(), ledger.attempted as usize);
 }
 
-/// Host worker count: sweep threads and client connections are capped
-/// at this.
+/// Host worker count: sweep threads are capped at this.
 pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -287,7 +283,6 @@ fn run_workload(args: &Args) -> Result<(), String> {
     let sheet = match args.workload.as_str() {
         "mc_sweep" => sweep::run(sweep::Kind::Mc, args, &mut ledger)?,
         "exact_dp" => sweep::run(sweep::Kind::Exact, args, &mut ledger)?,
-        "serve_mixed" => serve::run(args, &mut ledger)?,
         other => return Err(format!("workload '{other}' is declared but not implemented")),
     };
     emit(args, &manifest, &sheet, &ledger)

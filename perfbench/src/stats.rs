@@ -19,18 +19,6 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// The `p`-quantile by nearest rank, reported only when at least ten
-/// samples lie beyond it (a p99 needs 1000 samples, a p90 needs 100).
-pub fn tail(xs: &[f64], p: f64) -> Option<f64> {
-    let n = xs.len();
-    // The epsilon keeps 0.9 × 100 from rounding up to rank 91.
-    let rank = ((p * n as f64 - 1e-9).ceil() as usize).clamp(1, n.max(1));
-    if n - rank.min(n) < 10 {
-        return None;
-    }
-    Some(sorted(xs)[rank - 1])
-}
-
 /// The three quartile cut points, as Python's
 /// `statistics.quantiles(xs, n=4)` computes them (the default
 /// "exclusive" method). Needs at least two samples.
@@ -118,27 +106,6 @@ pub fn delta(after: &Snapshot, before: &Snapshot) -> Snapshot {
     out
 }
 
-/// The median of a log2-nanosecond latency histogram (bucket `b` holds
-/// `[2^b, 2^(b+1))` ns), interpolated linearly by rank inside the
-/// bucket holding the middle observation. 0 for an empty histogram.
-pub fn hist_median_ns(hist: &[u64]) -> f64 {
-    let total: u64 = hist.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let half = total as f64 / 2.0;
-    let mut seen = 0u64;
-    for (b, &c) in hist.iter().enumerate() {
-        if c > 0 && (seen + c) as f64 >= half {
-            let lo = (1u64 << b.min(62)) as f64;
-            let frac = (half - seen as f64) / c as f64;
-            return lo + frac * lo;
-        }
-        seen += c;
-    }
-    0.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,25 +117,6 @@ mod tests {
         assert_eq!(quartiles(&xs), Some([2.75, 5.5, 8.25]));
         // statistics.quantiles([3, 1], n=4) == [0.5, 2.0, 3.5]
         assert_eq!(quartiles(&[3.0, 1.0]), Some([0.5, 2.0, 3.5]));
-    }
-
-    #[test]
-    fn tails_need_ten_samples_beyond() {
-        let xs: Vec<f64> = (1..=99).map(f64::from).collect();
-        assert_eq!(tail(&xs, 0.9), None);
-        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(tail(&xs, 0.9), Some(90.0));
-        assert_eq!(median(&xs), 50.5);
-        let xs: Vec<f64> = (1..=1000).map(f64::from).collect();
-        assert_eq!(tail(&xs, 0.99), Some(990.0));
-        assert_eq!(tail(&xs[..999], 0.99), None);
-    }
-
-    #[test]
-    fn histogram_median_interpolates_inside_the_bucket() {
-        let mut hist = [0u64; 40];
-        hist[10] = 4; // [1024, 2048) ns
-        assert_eq!(hist_median_ns(&hist), 1024.0 + 0.5 * 1024.0);
-        assert_eq!(hist_median_ns(&[0; 40]), 0.0);
+        assert_eq!(median(&xs), 5.5);
     }
 }

@@ -53,8 +53,9 @@ pub fn bundled_spec(name: &str) -> Result<String, String> {
     std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
-/// Set-up repetitions; `setup_s` is their median.
-const SETUP_REPS: usize = 51;
+/// Set-ups per timed sample: one set-up takes well under a millisecond,
+/// so a sample times a batch of them to last tens of milliseconds.
+const SETUP_BATCH: usize = 64;
 /// Repetitions of the direct `run_sweep_with`/`run_observed_sweep`
 /// calls behind `sim.sweep_ms`/`sim.observe_ms`.
 const SPLIT_REPS: usize = 3;
@@ -69,6 +70,45 @@ struct Loaded {
 }
 
 impl Loaded {
+    fn new(kind: Kind, args: &Args) -> Loaded {
+        let names = match kind {
+            Kind::Mc => MC_SPECS.to_vec(),
+            Kind::Exact => vec!["dp_crosscheck"],
+        };
+        Loaded {
+            effort: if args.smoke { Effort::Smoke } else { Effort::Standard },
+            seed: args.seed,
+            backend: (kind == Kind::Exact).then_some(Backend::Dp),
+            names,
+            exps: Vec::new(),
+        }
+    }
+
+    /// Read, parse, expand and validate the workload's specs
+    /// [`SETUP_BATCH`] times, keeping the last load: what a user pays
+    /// before the first cell runs. The time per set-up in seconds, and
+    /// its parse + expand part in milliseconds.
+    fn set_up(&mut self) -> Result<(f64, f64), String> {
+        let validate = RunConfig::new(self.effort).with_backend(self.backend);
+        let t0 = Instant::now();
+        let mut parse = Duration::ZERO;
+        for _ in 0..SETUP_BATCH {
+            self.exps.clear();
+            for name in &self.names {
+                let text = bundled_spec(name)?;
+                let tp = Instant::now();
+                let spec = WorkloadSpec::parse(&text).map_err(|e| format!("{name}: {e}"))?;
+                let plan = WorkloadPlan::expand(&spec).map_err(|e| format!("{name}: {e}"))?;
+                parse += tp.elapsed();
+                let exp = WorkloadExperiment::new(plan);
+                exp.validate_backends(&validate).map_err(|e| format!("{name}: {e}"))?;
+                self.exps.push(exp);
+            }
+        }
+        let batch = SETUP_BATCH as f64;
+        Ok((t0.elapsed().as_secs_f64() / batch, parse.as_secs_f64() * 1e3 / batch))
+    }
+
     /// The base seed of every pass of one iteration. Each iteration
     /// draws fresh MC inputs, so a run's median averages over many
     /// seeds rather than riding on one seed's cost.
@@ -90,46 +130,6 @@ impl Loaded {
             .with_backend(self.backend)
             .with_telemetry(telemetry)
     }
-}
-
-struct SetUp {
-    loaded: Loaded,
-    setup_s: Vec<f64>,
-    parse_expand_ms: Vec<f64>,
-}
-
-/// Read, parse, expand and validate the workload's specs: what a user
-/// pays before the first cell runs. Repeated; the last load is kept.
-fn set_up(kind: Kind, args: &Args) -> Result<SetUp, String> {
-    let names: Vec<&'static str> = match kind {
-        Kind::Mc => MC_SPECS.to_vec(),
-        Kind::Exact => vec!["dp_crosscheck"],
-    };
-    let effort = if args.smoke { Effort::Smoke } else { Effort::Standard };
-    let mut setup_s = Vec::new();
-    let mut parse_expand_ms = Vec::new();
-    let backend = (kind == Kind::Exact).then_some(Backend::Dp);
-    let validate = RunConfig::new(effort).with_backend(backend);
-    let mut exps = Vec::new();
-    for _ in 0..SETUP_REPS {
-        let t0 = Instant::now();
-        let mut parse = Duration::ZERO;
-        exps.clear();
-        for name in &names {
-            let text = bundled_spec(name)?;
-            let tp = Instant::now();
-            let spec = WorkloadSpec::parse(&text).map_err(|e| format!("{name}: {e}"))?;
-            let plan = WorkloadPlan::expand(&spec).map_err(|e| format!("{name}: {e}"))?;
-            parse += tp.elapsed();
-            let exp = WorkloadExperiment::new(plan);
-            exp.validate_backends(&validate).map_err(|e| format!("{name}: {e}"))?;
-            exps.push(exp);
-        }
-        setup_s.push(t0.elapsed().as_secs_f64());
-        parse_expand_ms.push(parse.as_secs_f64() * 1e3);
-    }
-    let loaded = Loaded { effort, seed: args.seed, backend, names, exps };
-    Ok(SetUp { loaded, setup_s, parse_expand_ms })
 }
 
 /// One full pass over the workload's specs.
@@ -223,27 +223,30 @@ fn split(w: &Loaded, telemetry: Telemetry) -> Result<(f64, f64), String> {
 }
 
 pub fn run(kind: Kind, args: &Args, ledger: &mut Ledger) -> Result<Sheet, String> {
-    let SetUp { loaded: w, setup_s, parse_expand_ms } = set_up(kind, args)?;
+    let mut w = Loaded::new(kind, args);
+    // Set-up samples: one before the loop and one before every pass, so
+    // they spread over the whole window instead of its first fraction
+    // of a second.
+    let mut setups = vec![w.set_up()?];
     let n = nproc();
     // One handle for the whole traced run; per-pass deltas of it.
     let telemetry = args.trace.then(Telemetry::new);
     let mut traced = Traced::default();
-    let passes = closed_loop(
-        args,
-        |iteration, one_worker, is_traced| {
-            let handle = if is_traced { telemetry } else { None };
-            let before = handle.map(Telemetry::snapshot);
-            let threads = if one_worker { 1 } else { n };
-            let seed = w.pass_seed(iteration);
-            let p = pass(&w, seed, threads, Granularity::Auto, handle, ledger);
-            if let (Some(h), Some(b)) = (handle, before) {
-                traced.add(delta(&h.snapshot(), &b));
-            }
-            Ok(p)
-        },
-        |_| true,
-    )?;
+    let passes = closed_loop(args, |iteration, one_worker, is_traced| {
+        setups.push(w.set_up()?);
+        let handle = if is_traced { telemetry } else { None };
+        let before = handle.map(Telemetry::snapshot);
+        let threads = if one_worker { 1 } else { n };
+        let seed = w.pass_seed(iteration);
+        let p = pass(&w, seed, threads, Granularity::Auto, handle, ledger);
+        if let (Some(h), Some(b)) = (handle, before) {
+            traced.add(delta(&h.snapshot(), &b));
+        }
+        Ok(p)
+    })?;
     let work = |ps: &[Pass]| ps.iter().map(|p| p.work).collect::<Vec<Work>>();
+    let setup_s: Vec<f64> = setups.iter().map(|s| s.0).collect();
+    let parse_expand_ms: Vec<f64> = setups.iter().map(|s| s.1).collect();
     let mut sheet = Sheet::default();
     let Some(telemetry) = telemetry else {
         sheet.put("setup_s", median(&setup_s), setup_s.len());
@@ -292,18 +295,5 @@ pub fn run(kind: Kind, args: &Args, ledger: &mut Ledger) -> Result<Sheet, String
     let spans = traced.phase_ms(&[Phase::Plan, Phase::Execute, Phase::Reduce, Phase::DpSolve]);
     sheet.put("unattributed_ms", mean(|p| p.work.wall_s) * 1e3 - spans - report_ms, count);
     put_run_totals(&mut sheet, &work(traced_tn), &work(&passes.tn), ledger);
-    sheet.not_applicable(&[
-        "serve.hit_server_us.p50",
-        "serve.miss_server_ms.p50",
-        "serve.transport_us",
-        "serve.first_row_ms",
-        "serve.hit_ratio",
-        "serve.cache_entries",
-        "serve.cache_bytes",
-        "hit_ms.p50",
-        "hit_ms.p99",
-        "miss_ms.p50",
-        "miss_ms.p90",
-    ]);
     Ok(sheet)
 }

@@ -69,7 +69,7 @@ fn smoke_runs_emit_every_declared_metric() {
 
 #[test]
 fn injected_mismatch_raises_failed_ratio() {
-    for workload in ["mc_sweep", "serve_mixed"] {
+    for workload in ["mc_sweep", "exact_dp"] {
         let result = smoke(workload, "1", &["--inject-mismatch"]);
         assert_eq!(result.get("correct"), Some(&Json::Bool(false)), "{workload}");
         assert!(result.get("failed").and_then(Json::as_f64).unwrap_or(0.0) > 0.0, "{workload}");
