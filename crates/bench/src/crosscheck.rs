@@ -13,7 +13,8 @@ use crate::experiments::{Effort, RunConfig};
 use crate::workload::WorkloadExperiment;
 use ants_dp::{Backend, DpMode};
 use ants_sim::run_sweep_with;
-use ants_workload::WorkloadError;
+use ants_workload::dp::DpMemo;
+use ants_workload::{PlannedCell, WorkloadError};
 use std::fmt;
 
 /// The Wilson z-score the crosscheck uses.
@@ -131,12 +132,21 @@ pub fn crosscheck(
     let smoke = cfg.effort == Effort::Smoke;
     let mut cells = Vec::new();
     let mut skipped = Vec::new();
-    // Decide DP capability per cell first (cheap: kernels only), then
-    // sample all checkable cells in one sweep on the shared pool.
+    // Solve every cell exactly first (one DP wave on the shared pool),
+    // then sample all checkable cells in one sweep on the same pool.
     let mut checkable = Vec::new();
     let no_metrics = ants_sim::MetricSet::empty();
-    for cell in &exp.plan().cells {
-        match ants_workload::dp::evaluate_cell_with(cell, smoke, no_metrics, cfg.dp_mode, None) {
+    let all: Vec<&PlannedCell> = exp.plan().cells.iter().collect();
+    let exact = ants_workload::dp::evaluate_cells(
+        &all,
+        smoke,
+        no_metrics,
+        cfg.dp_mode,
+        &DpMemo::new(),
+        &cfg.sweep_options(),
+    );
+    for (cell, exact) in all.into_iter().zip(exact) {
+        match exact {
             Ok(report) => checkable.push((cell, report)),
             Err(e) => {
                 let mut reason = e.message;

@@ -18,7 +18,7 @@
 //! report cell.
 
 use crate::experiments::{Effort, Experiment, ExperimentMeta, Report, RunConfig, SweepConfig};
-use ants_dp::{Backend, DpMode};
+use ants_dp::{Backend, DpCellReport, DpMode};
 use ants_obs::{Counter, Phase, SpanGuard};
 use ants_sim::report::Value;
 use ants_sim::{run_observed_sweep, run_sweep_with, Metric, MetricSet, TrialObservations};
@@ -127,9 +127,10 @@ impl WorkloadExperiment {
         let smoke = cfg.effort == Effort::Smoke;
         let metrics = self.plan.metrics.union(cfg.metrics);
         let mut report = self.start_report(cfg, metrics, smoke);
-        // Route each cell: DP cells leave the trial pool entirely; MC
-        // cells keep their per-cell seed tags, so the presence of DP
-        // neighbours never shifts their randomness.
+        // Route each cell: DP cells leave the trial sweep entirely (their
+        // curves run in the DP wave); MC cells keep their per-cell seed
+        // tags, so the presence of DP neighbours never shifts their
+        // randomness.
         let backends: Vec<Backend> =
             self.plan.cells.iter().map(|c| Self::cell_backend(cfg, c)).collect();
         let mc_cells: Vec<&PlannedCell> = self
@@ -158,7 +159,7 @@ impl WorkloadExperiment {
         // One memo for the whole run: cells that share curves (same
         // kernel, target, budget, mode) solve once. Memoized reports are
         // byte-identical to fresh ones, so this is pure wall-clock.
-        let memo = DpMemo::new();
+        let mut dp = self.dp_rows(cfg, &cfg.sweep_options(), &DpMemo::new()).into_iter();
         let mut mc_idx = 0usize;
         for (cell, backend) in self.plan.cells.iter().zip(&backends) {
             let row = match backend {
@@ -167,11 +168,53 @@ impl WorkloadExperiment {
                     mc_idx += 1;
                     mc_row(cell, smoke, metrics, &outcomes[i], observed.get(i))
                 }
-                Backend::Dp => dp_row(cell, smoke, metrics, cfg, &memo)?,
+                Backend::Dp => dp.next().expect(DP_ROW_PER_DP_CELL)?,
             };
             report.row(row);
         }
         Ok(report)
+    }
+
+    /// The DP phase both run paths share: every cell this config routes
+    /// to the exact backend, evaluated as one wave
+    /// ([`ants_workload::dp::evaluate_cells`]) on the pool `opts`
+    /// describes, sharing curves through `memo`. Returns the exact rows
+    /// in DP-cell order, one result per DP cell.
+    ///
+    /// Telemetry: one `dp_solve` span covers the wave (solves and
+    /// combines); `dp_solves` counts the cells evaluated before the
+    /// first failure, `dp_memo_hits` / `dp_memo_misses` the wave's curve
+    /// lookups, and every solved curve is one pool unit.
+    fn dp_rows(
+        &self,
+        cfg: &RunConfig,
+        opts: &ants_sim::SweepOptions,
+        memo: &DpMemo,
+    ) -> Vec<Result<Vec<Value>, WorkloadError>> {
+        let smoke = cfg.effort == Effort::Smoke;
+        let metrics = self.plan.metrics.union(cfg.metrics);
+        let cells: Vec<&PlannedCell> =
+            self.plan.cells.iter().filter(|c| Self::cell_backend(cfg, c) == Backend::Dp).collect();
+        if cells.is_empty() {
+            return Vec::new();
+        }
+        let (hits_before, misses_before) = memo.stats();
+        let reports = {
+            let _span = SpanGuard::new(cfg.telemetry, Phase::DpSolve);
+            ants_workload::dp::evaluate_cells(&cells, smoke, metrics, cfg.dp_mode, memo, opts)
+        };
+        if let Some(t) = cfg.telemetry {
+            let (hits, misses) = memo.stats();
+            let solved = reports.iter().take_while(|r| r.is_ok()).count();
+            t.add(0, Counter::DpSolves, solved as u64);
+            t.add(0, Counter::DpMemoHits, hits.saturating_sub(hits_before));
+            t.add(0, Counter::DpMemoMisses, misses.saturating_sub(misses_before));
+        }
+        reports
+            .into_iter()
+            .zip(cells)
+            .map(|(r, cell)| r.map(|r| dp_row(cell, smoke, metrics, &r)))
+            .collect()
     }
 
     /// The report skeleton every run variant shares: the full column
@@ -208,6 +251,9 @@ impl WorkloadExperiment {
     /// `on_row(index, cell, row)` fires as soon as each cell's row is
     /// computed, so a caller can stream partial results (the serve
     /// daemon pushes each row to its client the moment it exists).
+    /// Exact cells are the exception to "one at a time": the DP phase
+    /// both paths share solves all of them in one wave up front, and
+    /// their rows then stream in cell order with the MC rows.
     ///
     /// Scheduling options come from the caller rather than
     /// `cfg.sweep_options()` so a [`Probe`](ants_sim::Probe) can ride
@@ -248,6 +294,7 @@ impl WorkloadExperiment {
         let smoke = cfg.effort == Effort::Smoke;
         let metrics = self.plan.metrics.union(cfg.metrics);
         let mut report = self.start_report(cfg, metrics, smoke);
+        let mut dp = self.dp_rows(cfg, opts, memo).into_iter();
         for (i, cell) in self.plan.cells.iter().enumerate() {
             let row = match Self::cell_backend(cfg, cell) {
                 Backend::Mc => {
@@ -261,7 +308,7 @@ impl WorkloadExperiment {
                     };
                     mc_row(cell, smoke, metrics, &outcomes[0], observed.first())
                 }
-                Backend::Dp => dp_row(cell, smoke, metrics, cfg, memo)?,
+                Backend::Dp => dp.next().expect(DP_ROW_PER_DP_CELL)?,
             };
             on_row(i, cell, &row);
             report.row(row);
@@ -340,29 +387,12 @@ fn mc_row(
     row
 }
 
+/// Every DP cell has its row result in [`WorkloadExperiment::dp_rows`].
+const DP_ROW_PER_DP_CELL: &str = "dp_rows returns one result per DP cell";
+
 /// One exact report row: the DP cell evaluation mapped onto the same
-/// column vocabulary, `exact = true`. Solves under the config's
-/// `--dp-mode` override (if any), shares curves through `memo`, and
-/// attributes the solve to telemetry (`dp_solve` span, `dp_solves` /
-/// `dp_memo_hits` / `dp_memo_misses` counters) when a sink is attached.
-fn dp_row(
-    cell: &PlannedCell,
-    smoke: bool,
-    metrics: MetricSet,
-    cfg: &RunConfig,
-    memo: &DpMemo,
-) -> Result<Vec<Value>, WorkloadError> {
-    let (hits_before, misses_before) = memo.stats();
-    let r = {
-        let _span = SpanGuard::new(cfg.telemetry, Phase::DpSolve);
-        ants_workload::dp::evaluate_cell_with(cell, smoke, metrics, cfg.dp_mode, Some(memo))?
-    };
-    if let Some(t) = cfg.telemetry {
-        let (hits, misses) = memo.stats();
-        t.incr(0, Counter::DpSolves);
-        t.add(0, Counter::DpMemoHits, hits.saturating_sub(hits_before));
-        t.add(0, Counter::DpMemoMisses, misses.saturating_sub(misses_before));
-    }
+/// column vocabulary, `exact = true`.
+fn dp_row(cell: &PlannedCell, smoke: bool, metrics: MetricSet, r: &DpCellReport) -> Vec<Value> {
     let mut row: Vec<Value> = vec![
         cell.label.as_str().into(),
         cell.population_label().into(),
@@ -413,7 +443,7 @@ fn dp_row(
             },
         }
     }
-    Ok(row)
+    row
 }
 
 /// The report columns each metric contributes, in order.

@@ -88,24 +88,110 @@ struct Edges {
     trunc: f64,
 }
 
-/// Dense Gaussian elimination with partial pivoting on `[A | rhs]`,
-/// solving `A · X = rhs` in place. Fixed scan order — bit-deterministic.
-/// `a` is row-major `n × n`, `rhs` row-major `n × m`.
+/// Gaussian elimination with partial pivoting on `[A | rhs]`, solving
+/// `A · X = rhs` in place, with `A` dense and the right-hand side held
+/// as one sparse row per equation: exits sorted by index, absent
+/// entries `+0.0`, plus the dense truncation column. Fixed scan order —
+/// bit-deterministic.
+///
+/// Pivots and row operations are exactly those of the dense solve on
+/// `[A | rhs]` (kept under `cfg(test)` as [`solve_dense`]): every entry
+/// present in either row sees the same `x − factor·y`, every entry
+/// absent from both stays zero. An absent `x` enters as `0.0`, and
+/// `0.0 − v` is exactly `−v`, so the non-zero results match the dense
+/// solve bit for bit; only the sign of a zero could differ, and zeros
+/// never reach the collapsed rows. Memory is `O(k² + nnz)` instead of
+/// the dense `O(k · exits)`. `a` is row-major `n × n`.
+fn solve_sparse(n: usize, a: &mut [f64], rhs: &mut [CollapsedRow]) -> Result<(), DpError> {
+    let mut merged: Vec<(u32, f64)> = Vec::new();
+    for col in 0..n {
+        let pivot_row = pivot(n, a, col)?;
+        if pivot_row != col {
+            for k in 0..n {
+                a.swap(col * n + k, pivot_row * n + k);
+            }
+            rhs.swap(col, pivot_row);
+        }
+        let inv = 1.0 / a[col * n + col];
+        let pivot = std::mem::take(&mut rhs[col]);
+        for row in 0..n {
+            if row == col {
+                continue;
+            }
+            let factor = a[row * n + col] * inv;
+            if factor == 0.0 {
+                continue;
+            }
+            for k in col..n {
+                a[row * n + k] -= factor * a[col * n + k];
+            }
+            let target = &mut rhs[row];
+            if !pivot.exits.is_empty() {
+                merged.clear();
+                let (x, y) = (&target.exits, &pivot.exits);
+                let (mut i, mut j) = (0, 0);
+                while i < x.len() || j < y.len() {
+                    match (x.get(i), y.get(j)) {
+                        (Some(&(ex, px)), Some(&(ey, py))) if ex == ey => {
+                            merged.push((ex, px - factor * py));
+                            i += 1;
+                            j += 1;
+                        }
+                        (Some(&(ex, px)), Some(&(ey, _))) if ex < ey => {
+                            merged.push((ex, px));
+                            i += 1;
+                        }
+                        (Some(&(ex, px)), None) => {
+                            merged.push((ex, px));
+                            i += 1;
+                        }
+                        (_, Some(&(ey, py))) => {
+                            merged.push((ey, 0.0 - factor * py));
+                            j += 1;
+                        }
+                        (None, None) => unreachable!("loop condition"),
+                    }
+                }
+                std::mem::swap(&mut target.exits, &mut merged);
+            }
+            target.trunc -= factor * pivot.trunc;
+        }
+        rhs[col] = pivot;
+    }
+    for (row, r) in rhs.iter_mut().enumerate() {
+        let inv = 1.0 / a[row * n + row];
+        for (_, p) in &mut r.exits {
+            *p *= inv;
+        }
+        r.trunc *= inv;
+    }
+    Ok(())
+}
+
+/// The partial-pivoting choice for column `col`: the row at or below
+/// `col` with the largest `|a[row][col]|` (last one on ties).
+fn pivot(n: usize, a: &[f64], col: usize) -> Result<usize, DpError> {
+    let pivot_row = (col..n)
+        .max_by(|&i, &j| a[i * n + col].abs().partial_cmp(&a[j * n + col].abs()).expect("finite"))
+        .expect("non-empty range");
+    if a[pivot_row * n + col].abs() < 1e-300 {
+        return Err(DpError::Unsupported {
+            what: "per-move collapse".into(),
+            reason: "singular transient system (a state set loops forever without \
+                     moving yet was not eliminated as dead)"
+                .into(),
+        });
+    }
+    Ok(pivot_row)
+}
+
+/// The dense reference for [`solve_sparse`]: Gaussian elimination with
+/// partial pivoting on `[A | rhs]`, both dense. `a` is row-major
+/// `n × n`, `rhs` row-major `n × m`.
+#[cfg(test)]
 fn solve_dense(n: usize, m: usize, a: &mut [f64], rhs: &mut [f64]) -> Result<(), DpError> {
     for col in 0..n {
-        let pivot_row = (col..n)
-            .max_by(|&i, &j| {
-                a[i * n + col].abs().partial_cmp(&a[j * n + col].abs()).expect("finite")
-            })
-            .expect("non-empty range");
-        if a[pivot_row * n + col].abs() < 1e-300 {
-            return Err(DpError::Unsupported {
-                what: "per-move collapse".into(),
-                reason: "singular transient system (a state set loops forever without \
-                         moving yet was not eliminated as dead)"
-                    .into(),
-            });
-        }
+        let pivot_row = pivot(n, a, col)?;
         if pivot_row != col {
             for k in 0..n {
                 a.swap(col * n + k, pivot_row * n + k);
@@ -173,6 +259,10 @@ fn live_states(
     live
 }
 
+/// A transient-system solver: `A · X = rhs` in place, `A` dense `k × k`,
+/// one sparse right-hand-side row per equation.
+type Solver = fn(usize, &mut [f64], &mut [CollapsedRow]) -> Result<(), DpError>;
+
 /// Collapse `kernel` into per-move transitions.
 ///
 /// # Errors
@@ -181,6 +271,11 @@ fn live_states(
 ///   [`crate::MAX_SOLVE_STATES`].
 /// * [`DpError::Unsupported`] for position-sensitive kernels.
 pub fn collapse(kernel: &dyn MarkovKernel) -> Result<CollapsedKernel, DpError> {
+    collapse_with(kernel, solve_sparse)
+}
+
+/// [`collapse`] with the transient systems solved by `solve`.
+fn collapse_with(kernel: &dyn MarkovKernel, solve: Solver) -> Result<CollapsedKernel, DpError> {
     let n = kernel.num_states();
     if n > crate::MAX_SOLVE_STATES {
         return Err(DpError::Guard {
@@ -259,16 +354,15 @@ pub fn collapse(kernel: &dyn MarkovKernel) -> Result<CollapsedKernel, DpError> {
         // Map live, non-trunc states into the dense system.
         let sys: Vec<usize> = (0..n).filter(|&s| live[s] && !is_trunc[s]).collect();
         let pos: HashMap<usize, usize> = sys.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        // Build per-state RHS rows first to learn the column count.
+        // Build per-state RHS rows first: interning assigns exit indices.
         let mut raw_rows: Vec<(Vec<(u32, f64)>, f64)> = Vec::with_capacity(sys.len());
         for &s in &sys {
             raw_rows.push(rhs_of(s, exits, intern));
         }
-        let m = exits.len() + 1; // all exits so far + trunc column
         let k = sys.len();
         let mut a = vec![0.0f64; k * k];
-        let mut rhs = vec![0.0f64; k * m];
-        for (i, &s) in sys.iter().enumerate() {
+        let mut rhs: Vec<CollapsedRow> = Vec::with_capacity(k);
+        for (i, (&s, (mut raw, coupled_trunc))) in sys.iter().zip(raw_rows).enumerate() {
             a[i * k + i] = 1.0;
             for (t, p) in transient_of(s) {
                 if let Some(&j) = pos.get(&t) {
@@ -276,25 +370,27 @@ pub fn collapse(kernel: &dyn MarkovKernel) -> Result<CollapsedKernel, DpError> {
                 }
                 // Edges to dead states: deficit (dropped).
             }
-            let (ref row, coupled_trunc) = raw_rows[i];
-            for &(e, p) in row {
-                rhs[i * m + e as usize] += p;
+            // One entry per exit, ascending; repeated exits sum from
+            // 0.0 in their order of appearance (the sort is stable),
+            // exactly as the dense solve accumulated into a zeroed
+            // column.
+            raw.sort_by_key(|&(e, _)| e);
+            let mut exits: Vec<(u32, f64)> = Vec::with_capacity(raw.len());
+            for (e, p) in raw {
+                match exits.last_mut() {
+                    Some(last) if last.0 == e => last.1 += p,
+                    _ => exits.push((e, 0.0 + p)),
+                }
             }
             // Direct edges into truncation states plus any trunc
             // mass inherited through an Origin coupling.
-            rhs[i * m + (m - 1)] += coupled_trunc + edges[s].trunc;
+            rhs.push(CollapsedRow { exits, trunc: 0.0 + (coupled_trunc + edges[s].trunc) });
         }
-        solve_dense(k, m, &mut a, &mut rhs)?;
+        solve(k, &mut a, &mut rhs)?;
         let mut out = vec![CollapsedRow::default(); n];
-        for (i, &s) in sys.iter().enumerate() {
-            let mut row = Vec::new();
-            for e in 0..m - 1 {
-                let p = rhs[i * m + e];
-                if p > 0.0 {
-                    row.push((e as u32, p));
-                }
-            }
-            out[s] = CollapsedRow { exits: row, trunc: rhs[i * m + (m - 1)].max(0.0) };
+        for (&s, r) in sys.iter().zip(rhs) {
+            let exits = r.exits.into_iter().filter(|&(_, p)| p > 0.0).collect();
+            out[s] = CollapsedRow { exits, trunc: r.trunc.max(0.0) };
         }
         for s in 0..n {
             if is_trunc[s] {
@@ -390,9 +486,106 @@ pub fn collapse(kernel: &dyn MarkovKernel) -> Result<CollapsedKernel, DpError> {
 mod tests {
     use super::*;
     use crate::kernel::{
-        coin_kernel, mortal_kernel, nonuniform_kernel, randomwalk_kernel, uniform_kernel,
-        UNIFORM_PHASE_CAP,
+        coin_kernel, mortal_kernel, nonuniform_kernel, pfa_kernel, randomwalk_kernel,
+        uniform_kernel, TableKernel, UNIFORM_PHASE_CAP,
     };
+    use ants_automaton::library;
+    use ants_rng::{SeedableRng64, Xoshiro256PlusPlus};
+    use proptest::prelude::*;
+
+    /// [`solve_dense`] behind the [`Solver`] signature: densify the
+    /// right-hand side (one column per exit index up to the largest
+    /// present, plus trunc), solve, and hand every column back.
+    fn solve_dense_rows(k: usize, a: &mut [f64], rhs: &mut [CollapsedRow]) -> Result<(), DpError> {
+        let exits = rhs
+            .iter()
+            .flat_map(|r| r.exits.iter().map(|&(e, _)| e as usize + 1))
+            .max()
+            .unwrap_or(0);
+        let m = exits + 1;
+        let mut dense = vec![0.0f64; k * m];
+        for (i, r) in rhs.iter().enumerate() {
+            for &(e, p) in &r.exits {
+                dense[i * m + e as usize] = p;
+            }
+            dense[i * m + exits] = r.trunc;
+        }
+        solve_dense(k, m, a, &mut dense)?;
+        for (i, r) in rhs.iter_mut().enumerate() {
+            r.exits = (0..exits).map(|e| (e as u32, dense[i * m + e])).collect();
+            r.trunc = dense[i * m + exits];
+        }
+        Ok(())
+    }
+
+    /// The sparse-RHS collapse equals the dense reference bit for bit:
+    /// same exit alphabet, and per row the same exit indices, the same
+    /// probability bits, the same trunc bits.
+    fn assert_matches_dense(kernel: &TableKernel) {
+        let sparse = collapse(kernel).unwrap();
+        let dense = collapse_with(kernel, solve_dense_rows).unwrap();
+        let label = kernel.label();
+        assert_eq!(sparse.start, dense.start, "{label}");
+        assert_eq!(sparse.exits, dense.exits, "{label}: exit alphabet");
+        assert_eq!(sparse.rows.len(), dense.rows.len(), "{label}");
+        for (s, (a, b)) in sparse.rows.iter().zip(&dense.rows).enumerate() {
+            let bits = |r: &CollapsedRow| -> Vec<(u32, u64)> {
+                r.exits.iter().map(|&(e, p)| (e, p.to_bits())).collect()
+            };
+            assert_eq!(bits(a), bits(b), "{label} state {s}: exits");
+            assert_eq!(a.trunc.to_bits(), b.trunc.to_bits(), "{label} state {s}: trunc");
+        }
+    }
+
+    /// The kernel zoo of `tests/proptests.rs`: every constructor.
+    fn zoo_kernel(which: usize) -> TableKernel {
+        match which {
+            0 => randomwalk_kernel(),
+            1 => nonuniform_kernel(4).unwrap(),
+            2 => nonuniform_kernel(100).unwrap(),
+            3 => coin_kernel(16, 1).unwrap(),
+            4 => coin_kernel(64, 3).unwrap(),
+            5 => uniform_kernel(1, 2, 1, UNIFORM_PHASE_CAP).unwrap(),
+            6 => uniform_kernel(2, 8, 3, UNIFORM_PHASE_CAP).unwrap(),
+            7 => pfa_kernel("automaton(rw)", &library::random_walk()),
+            8 => pfa_kernel("automaton(lazy)", &library::lazy_random_walk()),
+            9 => pfa_kernel("automaton(drift4)", &library::drift_walk(4).unwrap()),
+            10 => pfa_kernel("automaton(alg1)", &library::algorithm1(3).unwrap()),
+            11 => mortal_kernel(&randomwalk_kernel(), 7).unwrap(),
+            12 => mortal_kernel(&nonuniform_kernel(8).unwrap(), 25).unwrap(),
+            _ => mortal_kernel(&coin_kernel(8, 2).unwrap(), 12).unwrap(),
+        }
+    }
+
+    const ZOO_SIZE: usize = 14;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn sparse_rhs_collapse_matches_dense_reference(which in 0usize..ZOO_SIZE) {
+            assert_matches_dense(&zoo_kernel(which));
+        }
+
+        #[test]
+        fn sparse_rhs_collapse_matches_dense_reference_on_random_pfas(
+            states in 1usize..=12,
+            ell in 1u32..=6,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let pfa = library::random_pfa(states, ell, &mut rng);
+            assert_matches_dense(&pfa_kernel("automaton(random)", &pfa));
+        }
+    }
+
+    #[test]
+    fn sparse_rhs_collapse_matches_dense_reference_on_a_long_lifetime() {
+        // The largest collapse a bundled workload runs: 1001 lifetime
+        // layers over the walk (the dense right-hand side alone is
+        // ~62 MiB here).
+        assert_matches_dense(&mortal_kernel(&randomwalk_kernel(), 1000).unwrap());
+    }
 
     fn row_mass(c: &CollapsedKernel, s: usize) -> f64 {
         c.rows[s].exits.iter().map(|&(_, p)| p).sum::<f64>() + c.rows[s].trunc

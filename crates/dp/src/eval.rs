@@ -13,7 +13,9 @@
 //! `H_t(m) = 1 − (1 − F̄_t(m))ⁿ`. Target placements enumerate to a
 //! finite support ([`target_support`]), so the cell's law is the finite
 //! mixture `H(m) = Σ_t w_t H_t(m)` — evaluated exactly, in a fixed
-//! summation order, on one thread.
+//! summation order, from per-(strategy, point) curves that are solved
+//! independently of each other ([`curve_units`], [`solve_unit`],
+//! [`combine`]).
 //!
 //! ## Exact columns vs. exact-expectation proxies
 //!
@@ -250,19 +252,206 @@ fn collapsed_of<'a>(
 /// hit can never change a report.
 fn cached_curve(
     cache: Option<&dyn SolveCache>,
-    key: String,
+    key: &str,
     solve: impl FnOnce() -> Result<Vec<f64>, DpError>,
 ) -> Result<Arc<Vec<f64>>, DpError> {
     if let Some(c) = cache {
-        if let Some(hit) = c.get(&key) {
+        if let Some(hit) = c.get(key) {
             return Ok(hit);
         }
     }
     let curve = Arc::new(solve()?);
     if let Some(c) = cache {
-        c.put(&key, Arc::clone(&curve));
+        c.put(key, Arc::clone(&curve));
     }
     Ok(curve)
+}
+
+/// Which curve a [`CurveUnit`] solves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CurveKind {
+    /// Move-indexed absorption CDF against a target (`a|…` keys).
+    Absorption,
+    /// Round-indexed survival of "bounds cell not yet visited"
+    /// (`s|…` keys).
+    Survival,
+    /// Round-indexed absorption CDF against a target (`r|…` keys).
+    FoundRound,
+}
+
+/// One curve a cell needs: the exact backend's unit of work.
+///
+/// A unit is self-contained — one strategy's kernel against one point
+/// over one clock — so the units of many cells can be deduplicated by
+/// [`CurveUnit::key`] and solved in any order, on any thread, by
+/// [`solve_unit`]. Only [`curve_units`] makes them, so the key always
+/// names exactly the curve the other fields describe.
+#[derive(Debug, Clone)]
+pub struct CurveUnit {
+    key: String,
+    strategy: usize,
+    fingerprint: u128,
+    kind: CurveKind,
+    point: Point,
+    clock: u64,
+    mode: DpMode,
+}
+
+impl CurveUnit {
+    fn new(
+        kind: CurveKind,
+        strategy: usize,
+        fingerprint: u128,
+        point: Point,
+        clock: u64,
+        mode: DpMode,
+    ) -> CurveUnit {
+        let tag = match kind {
+            CurveKind::Absorption => 'a',
+            CurveKind::Survival => 's',
+            CurveKind::FoundRound => 'r',
+        };
+        let key = format!("{tag}|{fingerprint:032x}|{},{}|{clock}|{mode}", point.x, point.y);
+        CurveUnit { key, strategy, fingerprint, kind, point, clock, mode }
+    }
+
+    /// The cache key, `{a|s|r}|{fingerprint}|{x},{y}|{clock}|{mode}`:
+    /// two units with equal keys solve to the same bytes.
+    pub fn key(&self) -> &str {
+        &self.key
+    }
+
+    /// Index of the solving strategy in [`DpRequest::population`].
+    pub fn strategy(&self) -> usize {
+        self.strategy
+    }
+
+    /// [`kernel_fingerprint`] of that strategy's kernel.
+    pub fn fingerprint(&self) -> u128 {
+        self.fingerprint
+    }
+
+    /// The curve kind.
+    pub fn kind(&self) -> CurveKind {
+        self.kind
+    }
+}
+
+/// Reject requests no evaluation can serve, before any curve is listed.
+fn validate(req: &DpRequest) -> Result<(), DpError> {
+    if req.agents == 0 {
+        return Err(DpError::Unsupported {
+            what: "a cell with zero agents".into(),
+            reason: "at least one agent is required".into(),
+        });
+    }
+    if req.targets.is_empty() {
+        return Err(DpError::Unsupported {
+            what: "a cell with an empty target support".into(),
+            reason: "the target placement enumerated to no candidate points".into(),
+        });
+    }
+    weights(&req.population).map(drop)
+}
+
+/// The survival sweep's work guard: one step DP per bounds cell, so the
+/// product `bounds area × states × horizon³` must stay below
+/// [`MAX_METRIC_WORK`].
+fn metric_guard(req: &DpRequest, metrics: &DpMetrics) -> Result<(), DpError> {
+    let area = Rect::ball(metrics.bounds_radius).area();
+    let horizon = metrics.rounds;
+    let states: usize = req.population.iter().map(|s| s.kernel.num_states()).max().unwrap();
+    let work = area as u128 * states as u128 * (horizon as u128).pow(3);
+    if work > MAX_METRIC_WORK {
+        return Err(DpError::Guard {
+            what: format!(
+                "coverage/first-visit sweep (bounds area {area} x {states} states x \
+                 horizon {horizon}^3 step-DP work)"
+            ),
+            limit: MAX_METRIC_WORK as usize,
+            hint: "shrink the bounds or horizon, drop the survival metrics, or use \
+                   backend = \"mc\""
+                .into(),
+        });
+    }
+    Ok(())
+}
+
+/// Step 1 of an evaluation: list every curve the cell needs, in the
+/// order [`combine`] reads them — per target every strategy's
+/// absorption curve; then, when survival metrics are on, per bounds
+/// cell every strategy's survival curve; then, for `found_round`, per
+/// target every strategy's found-round curve. Keys may repeat (a
+/// population listing one kernel twice).
+///
+/// A cell whose survival sweep trips the metric-work guard lists its
+/// absorption curves only: [`combine`] reports the guard after reading
+/// them, exactly where a one-pass evaluation would.
+///
+/// # Errors
+///
+/// Zero agents, an empty target support, or an empty population.
+pub fn curve_units(req: &DpRequest) -> Result<Vec<CurveUnit>, DpError> {
+    validate(req)?;
+    let fps: Vec<u128> = req.population.iter().map(|s| kernel_fingerprint(&s.kernel)).collect();
+    let per_point = |kind: CurveKind, point: Point, clock: u64| {
+        fps.iter()
+            .enumerate()
+            .map(move |(si, &fp)| CurveUnit::new(kind, si, fp, point, clock, req.mode))
+    };
+    let mut units: Vec<CurveUnit> = req
+        .targets
+        .iter()
+        .flat_map(|&(t, _)| per_point(CurveKind::Absorption, t, req.move_budget))
+        .collect();
+    let Some(metrics) = req.metrics else {
+        return Ok(units);
+    };
+    let horizon = metrics.rounds;
+    if metrics.needs_survival() {
+        if metric_guard(req, &metrics).is_err() {
+            return Ok(units);
+        }
+        for cell in Rect::ball(metrics.bounds_radius).points() {
+            units.extend(per_point(CurveKind::Survival, cell, horizon));
+        }
+    }
+    if metrics.found_round {
+        for &(t, _) in &req.targets {
+            units.extend(per_point(CurveKind::FoundRound, t, horizon));
+        }
+    }
+    Ok(units)
+}
+
+/// Step 2 of an evaluation: solve one curve. `collapsed` yields the
+/// collapse of the unit's kernel; only absorption units call it, so a
+/// caller can collapse lazily and share one collapse across every unit
+/// (and cell) of a kernel.
+///
+/// # Errors
+///
+/// Any [`DpError`] from the collapse or the DP: table and frontier
+/// guards, truncation mass beyond tolerance.
+pub fn solve_unit<'a>(
+    req: &DpRequest,
+    unit: &CurveUnit,
+    collapsed: impl FnOnce() -> Result<&'a CollapsedKernel, DpError>,
+) -> Result<Vec<f64>, DpError> {
+    let kernel = &req.population[unit.strategy].kernel;
+    let label = kernel.label();
+    match unit.kind {
+        CurveKind::Absorption => {
+            absorption_cdf_mode(collapsed()?, label, unit.point, unit.clock, unit.mode)
+                .map(|curve| curve.cdf)
+        }
+        CurveKind::Survival => {
+            visit_survival_curve_mode(kernel, label, unit.point, unit.clock, unit.mode)
+        }
+        CurveKind::FoundRound => {
+            step_absorption_cdf_mode(kernel, label, unit.point, unit.clock, unit.mode)
+        }
+    }
 }
 
 /// Evaluate one cell exactly.
@@ -281,6 +470,10 @@ pub fn evaluate(req: &DpRequest) -> Result<DpCellReport, DpError> {
 /// [`kernel_fingerprint`], so two cells sharing a strategy, a point,
 /// a clock and a [`DpMode`] share the solve — byte-identically.
 ///
+/// This is the one-cell, one-thread composition of the three steps
+/// ([`curve_units`], [`solve_unit`], [`combine`]); a host evaluating
+/// many cells can instead pool the units of all of them.
+///
 /// # Errors
 ///
 /// As [`evaluate`].
@@ -288,41 +481,47 @@ pub fn evaluate_with(
     req: &DpRequest,
     cache: Option<&dyn SolveCache>,
 ) -> Result<DpCellReport, DpError> {
-    if req.agents == 0 {
-        return Err(DpError::Unsupported {
-            what: "a cell with zero agents".into(),
-            reason: "at least one agent is required".into(),
-        });
-    }
-    if req.targets.is_empty() {
-        return Err(DpError::Unsupported {
-            what: "a cell with an empty target support".into(),
-            reason: "the target placement enumerated to no candidate points".into(),
-        });
-    }
+    let units = curve_units(req)?;
+    // Per strategy, collapse once (lazily — a fully memoized cell skips
+    // it).
+    let mut collapsed: Vec<Option<CollapsedKernel>> = req.population.iter().map(|_| None).collect();
+    combine(req, &units, |u| {
+        cached_curve(cache, u.key(), || {
+            solve_unit(req, u, || {
+                collapsed_of(&mut collapsed[u.strategy], &req.population[u.strategy].kernel)
+            })
+        })
+    })
+}
+
+/// Step 3 of an evaluation: rebuild the cell's report from its solved
+/// curves. `curve` is called once per unit of `units` (as listed by
+/// [`curve_units`] for this `req`), in list order; its first error is
+/// the evaluation's error. Summation runs in one fixed order, so the
+/// report is bit-identical however and wherever the curves were solved.
+///
+/// # Errors
+///
+/// The first error `curve` returns, or the metric-work guard.
+pub fn combine(
+    req: &DpRequest,
+    units: &[CurveUnit],
+    mut curve: impl FnMut(&CurveUnit) -> Result<Arc<Vec<f64>>, DpError>,
+) -> Result<DpCellReport, DpError> {
     let p_strat = weights(&req.population)?;
     let n = req.agents as f64;
     let budget = req.move_budget as usize;
+    let mut units = units.iter();
+    let mut next = || curve(units.next().expect("curve_units lists every curve combine reads"));
 
     // --- Base columns: the exact law of the trial statistic. ---
-    // Per strategy, collapse once (lazily — a fully memoized cell skips
-    // it); per (strategy, target), one absorption DP or cache hit.
-    let mode = req.mode;
-    let fps: Vec<u128> = req.population.iter().map(|s| kernel_fingerprint(&s.kernel)).collect();
-    let mut collapsed: Vec<Option<CollapsedKernel>> = req.population.iter().map(|_| None).collect();
     let mut h_mix = vec![0.0f64; budget + 1];
-    for &(target, tw) in &req.targets {
+    for &(_, tw) in &req.targets {
         let mut f_bar = vec![0.0f64; budget + 1];
-        for (si, strat) in req.population.iter().enumerate() {
-            let key =
-                format!("a|{:032x}|{},{}|{}|{mode}", fps[si], target.x, target.y, req.move_budget);
-            let cdf = cached_curve(cache, key, || {
-                let c = collapsed_of(&mut collapsed[si], &strat.kernel)?;
-                absorption_cdf_mode(c, strat.kernel.label(), target, req.move_budget, mode)
-                    .map(|curve| curve.cdf)
-            })?;
+        for &p in &p_strat {
+            let cdf = next()?;
             for (fb, &c) in f_bar.iter_mut().zip(cdf.iter()) {
-                *fb += p_strat[si] * c;
+                *fb += p * c;
             }
         }
         for (h, &fb) in h_mix.iter_mut().zip(f_bar.iter()) {
@@ -364,22 +563,9 @@ pub fn evaluate_with(
     let hz = horizon as usize;
 
     if metrics.needs_survival() {
+        metric_guard(req, &metrics)?;
         let bounds = Rect::ball(metrics.bounds_radius);
         let area = bounds.area();
-        let states: usize = req.population.iter().map(|s| s.kernel.num_states()).max().unwrap();
-        let work = area as u128 * states as u128 * (horizon as u128).pow(3);
-        if work > MAX_METRIC_WORK {
-            return Err(DpError::Guard {
-                what: format!(
-                    "coverage/first-visit sweep (bounds area {area} x {states} states x \
-                     horizon {horizon}^3 step-DP work)"
-                ),
-                limit: MAX_METRIC_WORK as usize,
-                hint: "shrink the bounds or horizon, drop the survival metrics, or use \
-                       backend = \"mc\""
-                    .into(),
-            });
-        }
         // Per bounds cell: population survival q̄^n at every round.
         let mut sum_unvisited_h = 0.0f64; // Σ_c q̄_c(H)^n
         let mut cover_q = 0.0f64; // Σ_c v_c(⌈R/4⌉)
@@ -388,21 +574,12 @@ pub fn evaluate_with(
         let mut fv_den = 0.0f64; // Σ_c v_c(H)
         let at_q = horizon.div_ceil(4) as usize;
         let at_h = horizon.div_ceil(2) as usize;
-        for cell in bounds.points() {
+        for _ in 0..area {
             let mut q_bar = vec![0.0f64; hz + 1];
-            for (si, strat) in req.population.iter().enumerate() {
-                let key = format!("s|{:032x}|{},{}|{horizon}|{mode}", fps[si], cell.x, cell.y);
-                let q = cached_curve(cache, key, || {
-                    visit_survival_curve_mode(
-                        &strat.kernel,
-                        strat.kernel.label(),
-                        cell,
-                        horizon,
-                        mode,
-                    )
-                })?;
+            for &p in &p_strat {
+                let q = next()?;
                 for r in 0..=hz {
-                    q_bar[r] += p_strat[si] * q[r];
+                    q_bar[r] += p * q[r];
                 }
             }
             let v: Vec<f64> = q_bar.iter().map(|&q| 1.0 - q.powf(n)).collect();
@@ -442,21 +619,12 @@ pub fn evaluate_with(
     if metrics.found_round {
         let mut found_at = 0.0f64;
         let mut mean_num = 0.0f64;
-        for &(target, tw) in &req.targets {
+        for &(_, tw) in &req.targets {
             let mut f_bar = vec![0.0f64; hz + 1];
-            for (si, strat) in req.population.iter().enumerate() {
-                let key = format!("r|{:032x}|{},{}|{horizon}|{mode}", fps[si], target.x, target.y);
-                let f = cached_curve(cache, key, || {
-                    step_absorption_cdf_mode(
-                        &strat.kernel,
-                        strat.kernel.label(),
-                        target,
-                        horizon,
-                        mode,
-                    )
-                })?;
+            for &p in &p_strat {
+                let f = next()?;
                 for r in 0..=hz {
-                    f_bar[r] += p_strat[si] * f[r];
+                    f_bar[r] += p * f[r];
                 }
             }
             let g: Vec<f64> = f_bar.iter().map(|&f| 1.0 - (1.0 - f).powf(n)).collect();
@@ -654,6 +822,42 @@ mod tests {
     }
 
     #[test]
+    fn steps_compose_in_any_solve_order() {
+        // Units solved last-to-first, each kernel collapsed on its own,
+        // then combined: the report is bit-identical to `evaluate`.
+        let mut req = walk_req(2, 10, vec![(Point::new(1, 0), 0.5), (Point::new(1, 1), 0.5)]);
+        req.population.push(DpStrategy { weight: 3, kernel: nonuniform_kernel(2).unwrap() });
+        req.metrics = Some(DpMetrics {
+            coverage: true,
+            found_round: true,
+            bounds_radius: 1,
+            rounds: 10,
+            ..Default::default()
+        });
+        let units = curve_units(&req).unwrap();
+        assert_eq!(units.len(), 2 * 2 + 9 * 2 + 2 * 2, "absorption, survival, found-round");
+        let mut solved = std::collections::HashMap::new();
+        for u in units.iter().rev() {
+            let c = collapse(&req.population[u.strategy].kernel).unwrap();
+            solved.insert(u.key.clone(), Arc::new(solve_unit(&req, u, || Ok(&c)).unwrap()));
+        }
+        let combined = combine(&req, &units, |u| Ok(Arc::clone(&solved[&u.key]))).unwrap();
+        let fresh = evaluate(&req).unwrap();
+        let bits = |r: &DpCellReport| {
+            [
+                r.success,
+                r.mean_moves,
+                r.median_moves,
+                r.coverage.unwrap(),
+                r.found_round.unwrap().0,
+                r.found_round.unwrap().1,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(&combined), bits(&fresh));
+    }
+
+    #[test]
     fn metric_work_guard_trips() {
         let mut req = walk_req(1, 400, vec![(Point::new(1, 0), 1.0)]);
         req.metrics = Some(DpMetrics {
@@ -664,5 +868,11 @@ mod tests {
         });
         let err = evaluate(&req).unwrap_err();
         assert!(matches!(err, DpError::Guard { .. }), "{err}");
+        // The guarded cell lists its absorption curve only: the guard
+        // fires in `combine`, after the curves a one-pass evaluation
+        // would have read first.
+        let units = curve_units(&req).unwrap();
+        assert_eq!(units.len(), 1);
+        assert_eq!(units[0].kind, CurveKind::Absorption);
     }
 }

@@ -85,12 +85,16 @@ pub trait MarkovKernel {
 /// The canonical [`MarkovKernel`] implementation: fully tabulated rows.
 ///
 /// All zoo kernels are `TableKernel`s built by the constructors below;
-/// the DP layers only ever see the trait.
+/// the DP layers only ever see the trait. The rows live back to back in
+/// one table (state `s` owns `transitions[offsets[s]..offsets[s + 1]]`),
+/// so even a thousand-state product kernel is two allocations to build
+/// and to drop.
 #[derive(Debug, Clone)]
 pub struct TableKernel {
     label: String,
     start: usize,
-    rows: Vec<Vec<KernelTransition>>,
+    transitions: Vec<KernelTransition>,
+    offsets: Vec<usize>,
     chi: Vec<SelectionComplexity>,
     trunc: Vec<usize>,
     chi_static: bool,
@@ -104,10 +108,31 @@ impl TableKernel {
         chi: Vec<SelectionComplexity>,
         trunc: Vec<usize>,
     ) -> TableKernel {
-        debug_assert_eq!(rows.len(), chi.len());
-        debug_assert!(start < rows.len());
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        offsets.push(0);
+        let mut transitions = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        for row in rows {
+            transitions.extend(row);
+            offsets.push(transitions.len());
+        }
+        TableKernel::from_table(label, start, transitions, offsets, chi, trunc)
+    }
+
+    /// A kernel from its rows already laid out back to back: state `s`
+    /// owns `transitions[offsets[s]..offsets[s + 1]]`.
+    fn from_table(
+        label: String,
+        start: usize,
+        transitions: Vec<KernelTransition>,
+        offsets: Vec<usize>,
+        chi: Vec<SelectionComplexity>,
+        trunc: Vec<usize>,
+    ) -> TableKernel {
+        debug_assert_eq!(offsets.len(), chi.len() + 1);
+        debug_assert_eq!(offsets.last(), Some(&transitions.len()));
+        debug_assert!(start < chi.len());
         let chi_static = chi.iter().all(|&c| c == chi[0]);
-        TableKernel { label, start, rows, chi, trunc, chi_static }
+        TableKernel { label, start, transitions, offsets, chi, trunc, chi_static }
     }
 }
 
@@ -117,7 +142,7 @@ impl MarkovKernel for TableKernel {
     }
 
     fn num_states(&self) -> usize {
-        self.rows.len()
+        self.chi.len()
     }
 
     fn start(&self) -> usize {
@@ -125,7 +150,7 @@ impl MarkovKernel for TableKernel {
     }
 
     fn row(&self, state: usize, _pos: PositionClass) -> &[KernelTransition] {
-        &self.rows[state]
+        &self.transitions[self.offsets[state]..self.offsets[state + 1]]
     }
 
     fn chi(&self, state: usize) -> SelectionComplexity {
@@ -450,7 +475,9 @@ pub fn mortal_kernel(inner: &TableKernel, expiry: u64) -> Result<TableKernel, Dp
             }
         })?;
     let at = |state: usize, used: usize| used * s + state;
-    let mut rows = vec![Vec::new(); states];
+    let mut transitions = Vec::with_capacity(expiry as usize * inner.transitions.len() + s);
+    let mut offsets = Vec::with_capacity(states + 1);
+    offsets.push(0);
     let mut chi = Vec::with_capacity(states);
     // The move counter holds expiry + 1 values — same accounting as
     // Expiring::selection_complexity.
@@ -462,30 +489,31 @@ pub fn mortal_kernel(inner: &TableKernel, expiry: u64) -> Result<TableKernel, Dp
                 inner_chi.memory_bits() + counter_bits,
                 inner_chi.ell(),
             ));
-            rows[at(state, used)] = if used as u64 >= expiry {
-                vec![KernelTransition {
+            if used as u64 >= expiry {
+                transitions.push(KernelTransition {
                     next: at(state, used),
                     action: GridAction::None,
                     prob: 1.0,
-                }]
+                });
             } else {
-                inner.rows[state]
-                    .iter()
-                    .map(|t| KernelTransition {
+                transitions.extend(inner.row(state, PositionClass::Away).iter().map(|t| {
+                    KernelTransition {
                         next: at(t.next, if t.action.is_move() { used + 1 } else { used }),
                         action: t.action,
                         prob: t.prob,
-                    })
-                    .collect()
-            };
+                    }
+                }));
+            }
+            offsets.push(transitions.len());
         }
     }
     let trunc =
         (0..layers).flat_map(|used| inner.trunc.iter().map(move |&t| at(t, used))).collect();
-    Ok(TableKernel::new(
+    Ok(TableKernel::from_table(
         format!("mortal({}, {expiry})", inner.label()),
         at(inner.start, 0),
-        rows,
+        transitions,
+        offsets,
         chi,
         trunc,
     ))
@@ -657,6 +685,28 @@ mod tests {
         let inner = randomwalk_kernel();
         let m = kernel_fingerprint(&mortal_kernel(&inner, 3).unwrap());
         assert_ne!(a, m);
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Memo keys start from these fingerprints: a change to how
+        // kernels are stored must not change what they hash to.
+        for (k, fp) in [
+            (
+                mortal_kernel(&randomwalk_kernel(), 1000).unwrap(),
+                0xed93336d9f544b9bbd5d499396529deb,
+            ),
+            (
+                mortal_kernel(&coin_kernel(8, 2).unwrap(), 12).unwrap(),
+                0x1a1e642a357622d3138b15f91336ee9d,
+            ),
+            (
+                uniform_kernel(1, 4, 2, UNIFORM_PHASE_CAP).unwrap(),
+                0x3e5477ddb2963bf55c3bd802522ae8f4,
+            ),
+        ] {
+            assert_eq!(kernel_fingerprint(&k), fp, "{}", k.label());
+        }
     }
 
     #[test]

@@ -31,15 +31,18 @@
 //!   independent mixed populations in closed form
 //!   (`1 − Π(1 − Fᵢ(t))^kᵢ`), averages over the target placement's
 //!   enumerated support, and emits the same row vocabulary as the
-//!   Monte Carlo `WorkloadExperiment`.
+//!   Monte Carlo `WorkloadExperiment`. It runs in three steps —
+//!   [`curve_units`] lists the curves, [`solve_unit`] solves one,
+//!   [`combine`] rebuilds the report — so a host can solve the curves
+//!   of many cells on its own thread pool.
 //!
 //! Exactness contract: all kernel probabilities are dyadic rationals
 //! representable in `f64`; the DP's only approximations are (a) f64
 //! summation round-off and (b) explicitly tracked truncation/pruning
 //! mass, which is checked against [`TRUNCATION_TOL`] and turns into a
-//! [`DpError::Truncation`] instead of a wrong answer. Evaluation is
-//! single-threaded with a fixed summation order, so reports are
-//! byte-identical across thread counts and reruns.
+//! [`DpError::Truncation`] instead of a wrong answer. Each curve is
+//! solved single-threaded and each report combined in a fixed summation
+//! order, so reports are byte-identical across thread counts and reruns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,8 +59,8 @@ pub use absorb::{absorption_cdf, absorption_cdf_mode, AbsorptionCurve};
 pub use collapse::{collapse, CollapsedKernel, CollapsedRow, MoveExit};
 pub use error::DpError;
 pub use eval::{
-    evaluate, evaluate_with, target_support, DpCellReport, DpMetrics, DpRequest, DpStrategy,
-    SolveCache,
+    combine, curve_units, evaluate, evaluate_with, solve_unit, target_support, CurveKind,
+    CurveUnit, DpCellReport, DpMetrics, DpRequest, DpStrategy, SolveCache,
 };
 pub use frontier::{
     sparse_absorption_cdf, sparse_absorption_cdf_stats, sparse_first_landing_cdf, FrontierStats,

@@ -85,7 +85,7 @@ pub use observe::{
 pub use rounds::RoundExecutor;
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError, StrategyFactory};
 pub use sched::{
-    map_indexed, run_observed_sweep, run_sweep, run_sweep_with, Granularity, ObservedJob, Probe,
-    ProbeEvent, Scheduler, SweepJob, SweepOptions, DEFAULT_AGENT_CHUNK,
+    map_indexed, map_units, run_observed_sweep, run_sweep, run_sweep_with, Granularity,
+    ObservedJob, Probe, ProbeEvent, Scheduler, SweepJob, SweepOptions, DEFAULT_AGENT_CHUNK,
 };
 pub use stepping::{AgentStepper, StepOutcome};

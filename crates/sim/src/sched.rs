@@ -679,6 +679,37 @@ where
     (0..n).map(f).collect()
 }
 
+/// Deterministic parallel map over coarse, independent work units, in
+/// unit order.
+///
+/// For units that each cost milliseconds or more — the exact backend's
+/// curve solves — where [`map_indexed`]'s batching would lump a few
+/// hundred units into a handful of uneven batches. Every unit is
+/// claimed on its own from the shared cursor of the same work-stealing
+/// pool [`run_sweep_with`] drains, so the output equals
+/// `units.iter().map(f).collect()` exactly and a slow unit never holds
+/// cheap ones behind it. Only `opts.threads` and `opts.telemetry`
+/// apply: claims count in the pool counters like any sweep unit. One
+/// worker (or fewer than two units) runs inline on the calling thread,
+/// spawning nothing.
+pub fn map_units<T, U, F>(units: &[T], opts: &SweepOptions, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    #[cfg(feature = "parallel")]
+    {
+        let threads = resolve_threads(opts.threads);
+        if threads > 1 && units.len() >= 2 {
+            return drain(units, threads, opts.telemetry, |_w, unit| f(unit));
+        }
+    }
+    #[cfg(not(feature = "parallel"))]
+    let _ = opts;
+    units.iter().map(f).collect()
+}
+
 /// Drain `units` through `threads` workers pulling from an atomic cursor;
 /// returns one output per unit, in unit order. The closure receives the
 /// executing worker's index alongside the unit.
@@ -1049,5 +1080,20 @@ mod tests {
             assert_eq!(map_indexed(1000, &opts, |i| i * 7 % 13), reference);
         }
         assert_eq!(map_indexed(0, &SweepOptions::default(), |i| i), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn map_units_claims_every_unit_once_in_order() {
+        let units: Vec<u64> = (0..37).collect();
+        let reference: Vec<u64> = units.iter().map(|i| i * 7 % 13).collect();
+        for threads in [1usize, 2, 4] {
+            let t = ants_obs::Telemetry::new();
+            let opts = SweepOptions::with_threads(Some(threads)).with_telemetry(t);
+            assert_eq!(map_units(&units, &opts, |i| i * 7 % 13), reference);
+            // One pool claim per unit on the pool; none inline.
+            let expect = if threads > 1 && cfg!(feature = "parallel") { 37 } else { 0 };
+            assert_eq!(t.counter(ants_obs::Counter::PoolUnits), expect, "{threads} threads");
+        }
+        assert_eq!(map_units(&[] as &[u64], &SweepOptions::default(), |i| *i), Vec::<u64>::new());
     }
 }

@@ -57,11 +57,10 @@ pub struct StepOutcome {
 /// is being stepped — move caps, round horizons, and observation
 /// windows are caller policy.
 ///
-/// The RNG stream is a [`DefaultRng`] drawn one word per transition;
-/// batching draws through [`ants_rng::BufferedRng`] is stream-preserving
-/// and therefore trajectory-preserving, but measured slower than the
-/// bare generator on this loop (`BENCH_sweep.json` v3), so the alias
-/// stays unbuffered.
+/// The RNG stream is a [`DefaultRng`] drawn one word per transition,
+/// straight from the generator: batching draws through a buffer would
+/// preserve the stream but measured slower on this loop
+/// (`BENCH_sweep.json` v3).
 pub struct AgentStepper {
     strategy: Box<dyn SearchStrategy>,
     rng: DefaultRng,

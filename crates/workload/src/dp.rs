@@ -8,13 +8,14 @@
 use crate::plan::PlannedCell;
 use crate::WorkloadError;
 use ants_dp::{
-    evaluate_with, target_support, DpCellReport, DpMetrics, DpMode, DpRequest, DpStrategy,
+    collapse, combine, curve_units, evaluate_with, solve_unit, target_support, CollapsedKernel,
+    CurveKind, CurveUnit, DpCellReport, DpError, DpMetrics, DpMode, DpRequest, DpStrategy,
     SolveCache,
 };
-use ants_sim::{Metric, MetricSet};
+use ants_sim::{map_units, Metric, MetricSet, SweepOptions};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A cross-cell DP curve memo: the workload-side [`SolveCache`].
 ///
@@ -50,6 +51,12 @@ impl DpMemo {
     /// Is the memo empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Count a hit served without a lookup: a key an earlier cell of
+    /// the same wave already looked up (and missed or hit).
+    fn record_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -150,14 +157,129 @@ pub fn evaluate_cell_with(
     mode_override: Option<DpMode>,
     memo: Option<&DpMemo>,
 ) -> Result<DpCellReport, WorkloadError> {
+    let req = cell_request(cell, smoke, metrics, mode_override)?;
+    evaluate_with(&req, memo.map(|m| m as &dyn SolveCache)).map_err(|e| cell_error(cell, &e))
+}
+
+/// A cell's request with the `--dp-mode` override applied, or the
+/// cell-labelled failure to build it.
+fn cell_request(
+    cell: &PlannedCell,
+    smoke: bool,
+    metrics: MetricSet,
+    mode_override: Option<DpMode>,
+) -> Result<DpRequest, WorkloadError> {
     let mut req = dp_request(cell, smoke, metrics)?;
     if let Some(mode) = mode_override {
         req.mode = mode;
     }
-    evaluate_with(&req, memo.map(|m| m as &dyn SolveCache)).map_err(|e| WorkloadError {
-        context: format!("cell '{}'", cell.label),
-        message: e.to_string(),
-    })
+    Ok(req)
+}
+
+/// A [`DpError`] labelled with the cell it came from.
+fn cell_error(cell: &PlannedCell, e: &DpError) -> WorkloadError {
+    WorkloadError { context: format!("cell '{}'", cell.label), message: e.to_string() }
+}
+
+/// Where a wave finds a curve: already in the memo, or at an index of
+/// the wave's solve list.
+enum Curve {
+    Memo(Arc<Vec<f64>>),
+    Solve(usize),
+}
+
+/// Evaluate many cells exactly as one wave on the sim pool.
+///
+/// Each cell is split into its curves ([`curve_units`]); curves are
+/// deduplicated across cells and against `memo`, every missing curve is
+/// solved once ([`solve_unit`]) with one pool claim per curve
+/// ([`map_units`], so only `opts.threads` and `opts.telemetry` apply),
+/// and each cell's report is rebuilt from its curves ([`combine`]) in
+/// cell order. Each distinct kernel is collapsed at most once per wave.
+/// Reports and memo contents are byte-identical to evaluating the cells
+/// one by one through [`evaluate_cell_with`] with the same memo, at
+/// every thread count; so are the memo's counters whenever every cell
+/// succeeds (each curve lookup a one-by-one run would make counts once:
+/// a miss for the first lookup of an unmemoized key, a hit otherwise).
+///
+/// Returns one result per cell, in cell order. A failing cell does not
+/// stop the others.
+pub fn evaluate_cells(
+    cells: &[&PlannedCell],
+    smoke: bool,
+    metrics: MetricSet,
+    mode_override: Option<DpMode>,
+    memo: &DpMemo,
+    opts: &SweepOptions,
+) -> Vec<Result<DpCellReport, WorkloadError>> {
+    // Step 1: every cell's request and curve list, in cell order.
+    let listed: Vec<Result<(DpRequest, Vec<CurveUnit>), WorkloadError>> = cells
+        .iter()
+        .map(|cell| {
+            let req = cell_request(cell, smoke, metrics, mode_override)?;
+            let units = curve_units(&req).map_err(|e| cell_error(cell, &e))?;
+            Ok((req, units))
+        })
+        .collect();
+
+    // Dedupe in lookup order: the first lookup of a key consults the
+    // memo, later ones are hits on the wave's own copy.
+    let mut curves: HashMap<&str, Curve> = HashMap::new();
+    let mut todo: Vec<(&DpRequest, &CurveUnit)> = Vec::new();
+    for (req, units) in listed.iter().flatten() {
+        for unit in units {
+            if curves.contains_key(unit.key()) {
+                memo.record_hit();
+                continue;
+            }
+            let curve = match memo.get(unit.key()) {
+                Some(hit) => Curve::Memo(hit),
+                None => {
+                    todo.push((req, unit));
+                    Curve::Solve(todo.len() - 1)
+                }
+            };
+            curves.insert(unit.key(), curve);
+        }
+    }
+
+    // Step 2: solve the missing curves on the pool, one claim each.
+    // Absorption curves share their kernel's collapse, made by whichever
+    // unit needs it first.
+    let mut collapses: HashMap<u128, OnceLock<Result<CollapsedKernel, DpError>>> = HashMap::new();
+    for (_, unit) in &todo {
+        if unit.kind() == CurveKind::Absorption {
+            collapses.entry(unit.fingerprint()).or_default();
+        }
+    }
+    let solved: Vec<Result<Arc<Vec<f64>>, DpError>> = map_units(&todo, opts, |&(req, unit)| {
+        solve_unit(req, unit, || {
+            collapses[&unit.fingerprint()]
+                .get_or_init(|| collapse(&req.population[unit.strategy()].kernel))
+                .as_ref()
+                .map_err(Clone::clone)
+        })
+        .map(Arc::new)
+    });
+    for ((_, unit), curve) in todo.iter().zip(&solved) {
+        if let Ok(curve) = curve {
+            memo.put(unit.key(), Arc::clone(curve));
+        }
+    }
+
+    // Step 3: every report, in cell order, from its curves.
+    listed
+        .iter()
+        .zip(cells)
+        .map(|(listed, cell)| {
+            let (req, units) = listed.as_ref().map_err(Clone::clone)?;
+            combine(req, units, |unit| match &curves[unit.key()] {
+                Curve::Memo(hit) => Ok(Arc::clone(hit)),
+                Curve::Solve(i) => solved[*i].clone(),
+            })
+            .map_err(|e| cell_error(cell, &e))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -265,6 +387,56 @@ sweep = { agents = [1, 2, 4] }
         assert_eq!(memo.len(), 2);
         let base = evaluate_cell(&plan.cells[0], false, MetricSet::empty()).unwrap();
         assert!((report.success - base.success).abs() <= 1e-9);
+    }
+
+    #[test]
+    fn a_wave_shares_curves_like_the_per_cell_path_and_isolates_failures() {
+        // The agent sweep of `memo_shares_curves_across_cells...` plus a
+        // non-Markovian cell in the middle: the wave solves the shared
+        // curve once (1 miss, 2 hits, as one by one), fails only the
+        // middle cell, and every report is bit-identical to a fresh one.
+        let text = "\
+name = \"wave\"
+[defaults]
+trials = 64
+move_budget = 24
+[[cells]]
+name = \"walk\"
+backend = \"dp\"
+target = { model = \"fixed\", x = 1, y = 1 }
+population = [ { strategy = \"randomwalk\" } ]
+sweep = { agents = [1, 2] }
+[[cells]]
+name = \"spiral\"
+agents = 1
+target = { model = \"fixed\", x = 1, y = 1 }
+population = [ { strategy = \"spiral\" } ]
+[[cells]]
+name = \"walk4\"
+backend = \"dp\"
+agents = 4
+target = { model = \"fixed\", x = 1, y = 1 }
+population = [ { strategy = \"randomwalk\" } ]
+";
+        let plan = WorkloadPlan::expand(&WorkloadSpec::parse(text).unwrap()).unwrap();
+        let cells: Vec<&PlannedCell> = plan.cells.iter().collect();
+        assert_eq!(cells.len(), 4);
+        for threads in [1, 2] {
+            let memo = DpMemo::new();
+            let opts = SweepOptions::with_threads(Some(threads));
+            let reports = evaluate_cells(&cells, false, MetricSet::empty(), None, &memo, &opts);
+            assert_eq!(reports.len(), 4);
+            let e = reports[2].as_ref().unwrap_err();
+            assert!(e.context.contains("spiral") && e.message.contains("spiral"), "{e}");
+            for i in [0, 1, 3] {
+                let fresh = evaluate_cell(cells[i], false, MetricSet::empty()).unwrap();
+                let got = reports[i].as_ref().unwrap();
+                assert_eq!(fresh.success.to_bits(), got.success.to_bits(), "cell {i}");
+                assert_eq!(fresh.mean_moves.to_bits(), got.mean_moves.to_bits(), "cell {i}");
+            }
+            assert_eq!(memo.stats(), (2, 1), "{threads} threads: (hits, misses)");
+            assert_eq!(memo.len(), 1);
+        }
     }
 
     #[test]
