@@ -89,16 +89,19 @@ fn bench_engine(c: &mut Criterion) {
 /// MC vs exact-DP wall clock on the bundled crosscheck grid: per cell,
 /// `backend/mc/<cell>` measures the full trial count on a single-thread
 /// pool, and the `backend/dp-*` variants measure one exact evaluation
-/// per table representation — `dp-dense` (dense occupancy tables;
-/// absent when the dense guard refuses the cell), `dp-sparse` (the
-/// pruned frontier), and `dp-memo` (a warm cross-cell CDF memo, i.e.
-/// the marginal cost of a repeated cell inside a sweep or a later
-/// `ants serve` submission). `BENCH_dp.json` records the medians and
-/// the MC crossover.
+/// per table representation — `dp-dense` (every curve on the dense
+/// solver; absent when the dense guard refuses the cell), `dp-sparse`
+/// (every curve on the pruned frontier), and `dp-memo` (the production
+/// path through a warm cross-cell CDF memo, i.e. the marginal cost of a
+/// repeated cell inside a sweep or a later `ants serve` submission).
+/// `BENCH_dp.json` records the medians and the MC crossover.
 fn bench_backends(c: &mut Criterion) {
     use ants_bench::{RunConfig, WorkloadExperiment};
-    use ants_dp::DpMode;
-    use ants_workload::dp::{evaluate_cell_with, DpMemo};
+    use ants_dp::{
+        collapse, combine, curve_units, dense_absorption_cdf, sparse_absorption_cdf, CurveKind,
+        MarkovKernel as _,
+    };
+    use ants_workload::dp::{dp_request, evaluate_cell_with, DpMemo};
     let spec = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../examples/workloads/dp_crosscheck.toml");
     let exp = WorkloadExperiment::from_file(&spec).expect("bundled crosscheck spec loads");
@@ -114,26 +117,38 @@ fn bench_backends(c: &mut Criterion) {
                 black_box(ants_sim::run_sweep_with(&[job], &opts))
             });
         });
-        for (variant, mode) in [("dp-dense", DpMode::Dense), ("dp-sparse", DpMode::Sparse)] {
-            if evaluate_cell_with(cell, false, no_metrics, Some(mode), None).is_err() {
+        for (variant, sparse) in [("dp-dense", false), ("dp-sparse", true)] {
+            let solve = if sparse { sparse_absorption_cdf } else { dense_absorption_cdf };
+            // The whole evaluation, as `evaluate_cell_with` runs it, with
+            // every curve pinned to one solver.
+            let evaluate = || {
+                let req = dp_request(cell, false, no_metrics).expect("dp-capable cell");
+                let units = curve_units(&req)?;
+                let collapsed = req
+                    .population
+                    .iter()
+                    .map(|s| collapse(&s.kernel))
+                    .collect::<Result<Vec<_>, _>>()?;
+                combine(&req, &units, |u| {
+                    assert_eq!(u.kind(), CurveKind::Absorption, "no metric curves requested");
+                    let label = req.population[u.strategy()].kernel.label();
+                    let curve = solve(&collapsed[u.strategy()], label, u.point(), u.clock())?;
+                    Ok(std::sync::Arc::new(curve.cdf))
+                })
+            };
+            if evaluate().is_err() {
                 continue; // the dense guard refuses the over-budget cell
             }
             g.bench_function(&format!("{variant}/{label}"), |b| {
-                b.iter(|| {
-                    black_box(
-                        evaluate_cell_with(cell, false, no_metrics, Some(mode), None)
-                            .expect("dp-capable cell"),
-                    )
-                });
+                b.iter(|| black_box(evaluate().expect("dp-capable cell")));
             });
         }
         g.bench_function(&format!("dp-memo/{label}"), |b| {
             let memo = DpMemo::new();
-            evaluate_cell_with(cell, false, no_metrics, None, Some(&memo))
-                .expect("dp-capable cell");
+            evaluate_cell_with(cell, false, no_metrics, Some(&memo)).expect("dp-capable cell");
             b.iter(|| {
                 black_box(
-                    evaluate_cell_with(cell, false, no_metrics, None, Some(&memo))
+                    evaluate_cell_with(cell, false, no_metrics, Some(&memo))
                         .expect("dp-capable cell"),
                 )
             });

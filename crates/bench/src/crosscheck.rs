@@ -11,7 +11,7 @@
 
 use crate::experiments::{Effort, RunConfig};
 use crate::workload::WorkloadExperiment;
-use ants_dp::{Backend, DpMode};
+use ants_dp::Backend;
 use ants_sim::run_sweep_with;
 use ants_workload::dp::DpMemo;
 use ants_workload::{PlannedCell, WorkloadError};
@@ -112,14 +112,10 @@ pub fn wilson_interval(found: f64, trials: u64, z: f64) -> (f64, f64) {
     ((center - half).max(0.0), (center + half).min(1.0))
 }
 
-/// Run the crosscheck: every cell the DP can evaluate — under the
-/// config's `--dp-mode` override if set, else the cell's own `dp_mode`
-/// — is sampled on the MC pool (the config's effort, seed, and
-/// scheduling) and compared against its exact success probability; the
-/// rest are listed as skipped with the DP backend's reason. When only
-/// the dense-table guard blocked a cell, the skip reason additionally
-/// says whether `dp_mode = "sparse"` would make it checkable (confirmed
-/// by actually solving it on the frontier, not just guessed).
+/// Run the crosscheck: every cell the DP can evaluate is sampled on the
+/// MC pool (the config's effort, seed, and scheduling) and compared
+/// against its exact success probability; the rest are listed as
+/// skipped with the DP backend's reason.
 ///
 /// # Errors
 ///
@@ -141,36 +137,13 @@ pub fn crosscheck(
         &all,
         smoke,
         no_metrics,
-        cfg.dp_mode,
         &DpMemo::new(),
         &cfg.sweep_options(),
     );
     for (cell, exact) in all.into_iter().zip(exact) {
         match exact {
             Ok(report) => checkable.push((cell, report)),
-            Err(e) => {
-                let mut reason = e.message;
-                // The dense-table guard's hint names the sparse mode; for
-                // exactly those skips, confirm the claim by retrying on
-                // the frontier, so the reason states a verified fact.
-                if reason.contains("dp_mode = \"sparse\"")
-                    && cfg.dp_mode != Some(DpMode::Sparse)
-                    && ants_workload::dp::evaluate_cell_with(
-                        cell,
-                        smoke,
-                        no_metrics,
-                        Some(DpMode::Sparse),
-                        None,
-                    )
-                    .is_ok()
-                {
-                    reason.push_str(
-                        " [dense guard only: this cell solves under dp_mode = \"sparse\" \
-                         — rerun with --dp-mode sparse to check it]",
-                    );
-                }
-                skipped.push(SkippedCell { label: cell.label.clone(), reason });
-            }
+            Err(e) => skipped.push(SkippedCell { label: cell.label.clone(), reason: e.message }),
         }
     }
     let jobs = checkable
@@ -277,10 +250,14 @@ population = [ { strategy = \"randomwalk\" } ]
     }
 
     #[test]
-    fn dense_guard_skips_name_the_sparse_escape_hatch_and_sparse_mode_checks_them() {
+    fn guard_cells_solve_on_the_frontier_or_skip_by_name() {
         // mortal(randomwalk, 1000) at budget 64 wants a 1001 x 129^2
         // dense table (~16.7M entries) — past MAX_TABLE_ENTRIES — but
-        // its sparse frontier is tiny (one live expiry layer per step).
+        // its sparse frontier is tiny (one live expiry layer per step),
+        // so the exact backend solves it there and the engines must
+        // agree at z = 4. A walk at budget 1500 is past the span (1447)
+        // where the frontier stays plausible: it trips the dense guard
+        // and is skipped with the guard named.
         let exp = experiment(
             "\
 name = \"xguard\"
@@ -290,25 +267,25 @@ trials = 200
 name = \"big\"
 agents = 1
 move_budget = 64
-dp_mode = \"dense\"
 target = { model = \"fixed\", x = 2, y = 0 }
 population = [ { strategy = \"mortal(randomwalk, 1000)\" } ]
+[[cells]]
+name = \"far\"
+agents = 1
+move_budget = 1500
+target = { model = \"fixed\", x = 2, y = 0 }
+population = [ { strategy = \"randomwalk\" } ]
 ",
         );
         let report = crosscheck(&exp, &RunConfig::standard()).unwrap();
-        assert!(report.cells.is_empty());
-        assert_eq!(report.skipped.len(), 1);
+        assert_eq!(report.cells.len(), 1, "{report}");
+        assert_eq!(report.cells[0].label, "big");
+        assert!(report.all_pass(), "{report}");
+        assert_eq!(report.skipped.len(), 1, "{report}");
+        assert_eq!(report.skipped[0].label, "far");
         let reason = &report.skipped[0].reason;
         assert!(reason.contains("exact backend guard tripped"), "{reason}");
-        assert!(reason.contains("dense guard only"), "{reason}");
-        assert!(reason.contains("--dp-mode sparse"), "{reason}");
-        // The override beats the cell's declared mode, so the same cell
-        // becomes checkable — and the engines must still agree at z = 4.
-        let sparse =
-            crosscheck(&exp, &RunConfig::standard().with_dp_mode(Some(DpMode::Sparse))).unwrap();
-        assert!(sparse.skipped.is_empty(), "{sparse}");
-        assert_eq!(sparse.cells.len(), 1);
-        assert!(sparse.all_pass(), "{sparse}");
+        assert!(reason.contains("backend = \"mc\""), "{reason}");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! One module per experiment (E1–E15); each exposes a unit struct
 //! implementing [`Experiment`] plus a module-level [`ExperimentMeta`]
-//! constant. The registry [`all`] owns the canonical list — the CLI, the
-//! `exp_*` binaries, and the completeness test all read it, so a new
-//! module that is not registered fails CI (`tests/registry.rs`).
+//! constant. The registry [`all`] owns the canonical list — the CLI and
+//! the completeness test both read it, so a new module that is not
+//! registered fails CI (`tests/registry.rs`).
 //!
 //! Experiments collect their sweeps as typed
 //! [`Records`](ants_sim::report::Records) inside a [`Report`] (numbers
@@ -36,7 +36,7 @@ use std::fmt;
 /// How hard an experiment should try.
 ///
 /// `Smoke` keeps CI fast (seconds per experiment); `Standard` is the
-/// publication scale used by the `exp_*` binaries.
+/// publication scale used by `ants run <id>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
     /// Tiny instance sizes: validates wiring, not statistics.
@@ -136,12 +136,6 @@ pub struct RunConfig {
     /// Only [`crate::WorkloadExperiment`] honours it; the built-in
     /// harnesses are Monte Carlo by construction.
     pub backend: Option<ants_dp::Backend>,
-    /// DP representation override (`--dp-mode dense|sparse|auto`): force
-    /// every exact-backend cell onto dense tables, the sparse frontier,
-    /// or the per-cell size heuristic, regardless of the spec's
-    /// `dp_mode` keys. `None` = respect the spec. Sparse and dense agree
-    /// to ≤ 1e-9 wherever both run, so this changes cost, not claims.
-    pub dp_mode: Option<ants_dp::DpMode>,
     /// Telemetry sink (`--telemetry <path>`): attached to every sweep
     /// this config induces. Strictly observational — results are
     /// byte-identical with or without it (`tests/telemetry.rs`).
@@ -159,7 +153,6 @@ impl RunConfig {
             chunk: None,
             metrics: MetricSet::empty(),
             backend: None,
-            dp_mode: None,
             telemetry: None,
         }
     }
@@ -207,13 +200,6 @@ impl RunConfig {
     /// Set the backend override (`None` = respect per-cell spec keys).
     pub fn with_backend(mut self, backend: Option<ants_dp::Backend>) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Set the DP representation override (`None` = respect per-cell
-    /// `dp_mode` keys).
-    pub fn with_dp_mode(mut self, dp_mode: Option<ants_dp::DpMode>) -> Self {
-        self.dp_mode = dp_mode;
         self
     }
 
@@ -404,7 +390,7 @@ impl Report {
 
 impl fmt::Display for Report {
     /// Header (id + claim + run parameters) followed by the fixed-width
-    /// table — the format the CLI and the `exp_*` binaries print.
+    /// table — the format the CLI prints.
     ///
     /// Deliberately excludes the wall-clock time: the text rendering is
     /// part of the determinism contract (same command → byte-identical

@@ -1,6 +1,5 @@
 //! The shared experiment runner: wall-clock stamping, JSON report files,
-//! and the flag parsing the CLI and the 15 `exp_*` binaries have in
-//! common.
+//! and the flag parsing behind `ants run`/`ants all`.
 
 use crate::experiments::{self, Effort, Experiment, Report, RunConfig};
 use ants_sim::Granularity;
@@ -51,7 +50,7 @@ impl Runner {
     }
 }
 
-/// Flags shared by `ants run`/`ants all` and the `exp_*` binaries.
+/// Flags shared by `ants run`/`ants all`.
 #[derive(Debug, Clone)]
 pub struct Flags {
     /// Effort, seed, and thread policy (plus the telemetry handle when
@@ -68,9 +67,8 @@ pub struct Flags {
 
 /// Parse the common run flags: `--smoke`, `--effort smoke|standard`,
 /// `--seed N`, `--threads K`, `--granularity auto|trial|agent`,
-/// `--chunk N`, `--metrics a,b,...`, `--backend mc|dp`,
-/// `--dp-mode dense|sparse|auto`, `--json`, `--csv`,
-/// `--telemetry <path>`.
+/// `--chunk N`, `--metrics a,b,...`, `--backend mc|dp`, `--json`,
+/// `--csv`, `--telemetry <path>`.
 ///
 /// Unknown arguments are an error (callers print usage).
 pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -122,13 +120,6 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 cfg.backend = Some(
                     ants_dp::Backend::parse(v)
                         .ok_or(format!("unknown backend '{v}' (allowed: mc, dp)"))?,
-                );
-            }
-            "--dp-mode" => {
-                let v = it.next().ok_or("--dp-mode needs a value (dense|sparse|auto)")?;
-                cfg.dp_mode = Some(
-                    ants_dp::DpMode::parse(v)
-                        .ok_or(format!("unknown dp mode '{v}' (allowed: dense, sparse, auto)"))?,
                 );
             }
             "--json" => json = true,
@@ -194,36 +185,6 @@ pub fn write_telemetry(flags: &Flags) {
             std::process::exit(1);
         }
     }
-}
-
-/// Entry point for the 15 `exp_*` binaries: parse flags, run the one
-/// experiment at publication scale (or `--smoke`), print, and honour
-/// `--csv`/`--json`/`--telemetry`.
-pub fn bin_main(exp: &dyn Experiment) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = match parse_flags(&args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!(
-                "error: {e}\nusage: {} [--smoke | --effort smoke|standard] [--seed N] \
-                 [--threads K] [--granularity auto|trial|agent] [--chunk N] \
-                 [--metrics coverage,first_visit,round_trace,chi,found_round] [--csv] [--json] \
-                 [--telemetry PATH]",
-                exp.meta().key
-            );
-            std::process::exit(2);
-        }
-    };
-    if flags.cfg.backend == Some(ants_dp::Backend::Dp) {
-        eprintln!(
-            "error: {} is a Monte Carlo harness; --backend dp only applies to workload \
-             cells (`ants workload run <file> --backend dp`)",
-            exp.meta().key
-        );
-        std::process::exit(2);
-    }
-    emit_for(&Runner::new(flags.cfg).run(exp), &flags);
-    write_telemetry(&flags);
 }
 
 #[cfg(test)]
@@ -337,22 +298,6 @@ mod tests {
         assert!(parse_flags(&args(&["--backend"])).is_err());
         let e = parse_flags(&args(&["--backend", "exact"])).unwrap_err();
         assert!(e.contains("unknown backend 'exact'"), "{e}");
-    }
-
-    #[test]
-    fn dp_mode_flag_parses_and_rejects_unknowns() {
-        assert_eq!(parse_flags(&[]).unwrap().cfg.dp_mode, None);
-        for (v, want) in [
-            ("dense", ants_dp::DpMode::Dense),
-            ("sparse", ants_dp::DpMode::Sparse),
-            ("auto", ants_dp::DpMode::Auto),
-        ] {
-            let f = parse_flags(&args(&["--dp-mode", v])).unwrap();
-            assert_eq!(f.cfg.dp_mode, Some(want));
-        }
-        assert!(parse_flags(&args(&["--dp-mode"])).is_err());
-        let e = parse_flags(&args(&["--dp-mode", "frontier"])).unwrap_err();
-        assert!(e.contains("unknown dp mode 'frontier'"), "{e}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! report cell.
 
 use crate::experiments::{Effort, Experiment, ExperimentMeta, Report, RunConfig, SweepConfig};
-use ants_dp::{Backend, DpCellReport, DpMode};
+use ants_dp::{Backend, DpCellReport};
 use ants_obs::{Counter, Phase, SpanGuard};
 use ants_sim::report::Value;
 use ants_sim::{run_observed_sweep, run_sweep_with, Metric, MetricSet, TrialObservations};
@@ -79,13 +79,6 @@ impl WorkloadExperiment {
     /// override if set, else the cell's own (spec-validated) choice.
     pub fn cell_backend(cfg: &RunConfig, cell: &PlannedCell) -> Backend {
         cfg.backend.unwrap_or(cell.backend)
-    }
-
-    /// The DP representation a cell solves under this config: the
-    /// `--dp-mode` override if set, else the cell's own (spec-resolved)
-    /// `dp_mode`.
-    pub fn cell_dp_mode(cfg: &RunConfig, cell: &PlannedCell) -> DpMode {
-        cfg.dp_mode.unwrap_or(cell.dp_mode)
     }
 
     /// Check that every cell this config routes to the exact backend can
@@ -201,7 +194,7 @@ impl WorkloadExperiment {
         let (hits_before, misses_before) = memo.stats();
         let reports = {
             let _span = SpanGuard::new(cfg.telemetry, Phase::DpSolve);
-            ants_workload::dp::evaluate_cells(&cells, smoke, metrics, cfg.dp_mode, memo, opts)
+            ants_workload::dp::evaluate_cells(&cells, smoke, metrics, memo, opts)
         };
         if let Some(t) = cfg.telemetry {
             let (hits, misses) = memo.stats();
@@ -351,7 +344,8 @@ impl Experiment for WorkloadExperiment {
     fn run(&self, cfg: &RunConfig) -> Report {
         // Spec-level `backend = "dp"` cells were validated at expansion;
         // only a forced `--backend dp` override or a cost-guard trip can
-        // fail here, and the CLI pre-validates via `validate_backends`.
+        // fail here. Callers that must report those by name (the CLI's
+        // `workload run`) call `try_run` instead.
         self.try_run(cfg).unwrap_or_else(|e| panic!("workload run failed: {e}"))
     }
 }
@@ -800,20 +794,10 @@ population = [ { strategy = "randomwalk" } ]
     }
 
     #[test]
-    fn dp_mode_override_agrees_with_dense_and_counts_telemetry() {
-        let exp = mixed_experiment();
-        let dense = exp.run(&RunConfig::standard());
-        let sparse = exp.run(&RunConfig::standard().with_dp_mode(Some(DpMode::Sparse)));
-        // The representations agree to the truncation tolerance; MC rows
-        // are untouched by the override.
-        assert!((dense.num(1, "success") - sparse.num(1, "success")).abs() <= 1e-9);
-        assert_eq!(
-            dense.num(0, "success").to_bits(),
-            sparse.num(0, "success").to_bits(),
-            "--dp-mode must not perturb MC cells"
-        );
+    fn dp_solve_counts_telemetry() {
         // Telemetry attributes the solve: one dp cell → one solve, all
         // its curve lookups fresh (nothing shares a curve with it).
+        let exp = mixed_experiment();
         let t = ants_obs::Telemetry::new();
         let _ = exp.run(&RunConfig::standard().with_telemetry(Some(t)));
         assert_eq!(t.counter(Counter::DpSolves), 1);

@@ -7,10 +7,14 @@
 
 use ants_bench::experiments::{Effort, RunConfig};
 use ants_bench::WorkloadExperiment;
-use ants_dp::Backend;
+use ants_dp::{
+    collapse, curve_units, dense_absorption_cdf, dense_first_landing_cdf, Backend, CurveKind,
+    DpError, MarkovKernel,
+};
+use ants_grid::Point;
 use ants_obs::{Counter, Phase, Telemetry};
 use ants_sim::report::Value;
-use ants_workload::dp::{evaluate_cell_with, DpMemo};
+use ants_workload::dp::{dp_request, evaluate_cell_with, DpMemo};
 use ants_workload::{WorkloadPlan, WorkloadSpec};
 use std::path::PathBuf;
 
@@ -25,7 +29,9 @@ fn experiment(text: &str) -> WorkloadExperiment {
 /// Five exact cells and one MC cell between them: shared curves across
 /// cells (the agent sweep), a duplicated kernel inside one population,
 /// mixed strategies, survival and found-round metric curves, and a
-/// sparse-mode cell.
+/// mortal cell past the dense-table guard, which the exact backend
+/// solves on the sparse frontier (pinned by
+/// `the_mortal_cell_is_solved_on_the_sparse_frontier`).
 const WAVE_SPEC: &str = r#"
 name = "dp wave"
 metrics = ["coverage", "found_round"]
@@ -70,10 +76,9 @@ population = [ { strategy = "coin(8, 1)" } ]
 [[cells]]
 name = "mortal"
 agents = 1
-move_budget = 12
-dp_mode = "sparse"
+move_budget = 64
 target = { model = "fixed", x = 0, y = 2 }
-population = [ { strategy = "mortal(randomwalk, 40)" } ]
+population = [ { strategy = "mortal(randomwalk, 1000)" } ]
 "#;
 
 /// JSON tokens per cell: byte identity that treats NaN as equal to
@@ -110,6 +115,34 @@ fn streamed_and_batched_dp_rows_are_identical_at_every_thread_count() {
     }
 }
 
+/// The wave spec's mortal cell keeps the sparse frontier under the
+/// byte-identity pins above: the dense solver refuses every one of its
+/// curves on the table guard, so the run's success is the frontier's.
+#[test]
+fn the_mortal_cell_is_solved_on_the_sparse_frontier() {
+    let exp = experiment(WAVE_SPEC);
+    let cell = exp.plan().cells.iter().find(|c| c.label == "mortal").unwrap();
+    let req = dp_request(cell, false, exp.plan().metrics).unwrap();
+    let units = curve_units(&req).unwrap();
+    assert!(units.iter().any(|u| u.kind() != CurveKind::Absorption), "metric curves too");
+    for unit in &units {
+        let kernel = &req.population[unit.strategy()].kernel;
+        let (label, point, clock) = (kernel.label(), unit.point(), unit.clock());
+        let dense = match unit.kind() {
+            CurveKind::Absorption => {
+                dense_absorption_cdf(&collapse(kernel).unwrap(), label, point, clock).map(|_| ())
+            }
+            // The origin's survival curve is identically zero, with no
+            // solve behind it.
+            CurveKind::Survival if point == Point::ORIGIN => continue,
+            CurveKind::Survival | CurveKind::FoundRound => {
+                dense_first_landing_cdf(kernel, label, point, clock).map(|_| ())
+            }
+        };
+        assert!(matches!(dense, Err(DpError::Guard { .. })), "{}: {dense:?}", unit.key());
+    }
+}
+
 /// The wave's memo holds exactly the curves, and counts exactly the
 /// hits and misses, of evaluating the same cells one by one through the
 /// per-cell path with one memo: a miss per distinct curve solved, a hit
@@ -123,7 +156,7 @@ fn wave_memo_counters_match_the_per_cell_path() {
         let cfg = RunConfig::standard().with_backend(Some(Backend::Dp)).with_threads(Some(2));
         let per_cell = DpMemo::new();
         for cell in &exp.plan().cells {
-            evaluate_cell_with(cell, false, exp.plan().metrics, None, Some(&per_cell)).unwrap();
+            evaluate_cell_with(cell, false, exp.plan().metrics, Some(&per_cell)).unwrap();
         }
         let wave = DpMemo::new();
         let t = Telemetry::new();
@@ -190,7 +223,7 @@ population = [ { strategy = "randomwalk" } ]
 "#;
     let exp = experiment(text);
     let metrics = exp.plan().metrics;
-    let expected = evaluate_cell_with(&exp.plan().cells[1], false, metrics, None, None)
+    let expected = evaluate_cell_with(&exp.plan().cells[1], false, metrics, None)
         .expect_err("the per-cell path trips the guard");
     assert!(expected.message.contains("guard"), "{expected}");
     for threads in [1usize, 2] {

@@ -86,7 +86,7 @@ pub fn serve(args: &[String]) {
 
 /// `ants query <submit|gate|stats|shutdown> [spec.toml] [--addr A |
 /// --cache DIR] [--smoke | --effort E] [--seed N] [--metrics a,b]
-/// [--backend mc|dp] [--dp-mode dense|sparse|auto]`
+/// [--backend mc|dp]`
 pub fn query(args: &[String]) {
     let Some(op) = args.first().and_then(|v| Op::parse(v)) else {
         fail("`ants query` needs an op first: submit, gate, stats, or shutdown")
@@ -136,12 +136,6 @@ pub fn query(args: &[String]) {
                     ants_dp::Backend::parse(&v)
                         .unwrap_or_else(|| fail(&format!("unknown backend '{v}' (mc|dp)"))),
                 );
-            }
-            "--dp-mode" => {
-                let v = value("--dp-mode");
-                req.dp_mode = Some(ants_dp::DpMode::parse(&v).unwrap_or_else(|| {
-                    fail(&format!("unknown dp mode '{v}' (dense|sparse|auto)"))
-                }));
             }
             other => fail(&format!("unknown `ants query` argument '{other}'")),
         }

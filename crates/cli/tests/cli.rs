@@ -292,6 +292,25 @@ fn workload_backend_flag_routes_and_validates() {
     std::fs::remove_dir_all(&cwd).ok();
 }
 
+/// A forced `--backend dp` run of a cell past the exact backend's cost
+/// guards (a walk at move budget 1500: past the span where the sparse
+/// frontier stays plausible, and past the dense table) is a named error
+/// with exit code 1 — never a panic.
+#[test]
+fn workload_run_reports_exact_guard_refusals_without_panicking() {
+    let cwd = temp_dir("wl-guard");
+    let spec = "name = \"far\"\n[defaults]\ntrials = 4\n[[cells]]\nname = \"walk/far\"\n\
+                agents = 1\nmove_budget = 1500\ntarget = { model = \"fixed\", x = 2, y = 0 }\n\
+                population = [ { strategy = \"randomwalk\" } ]\n";
+    std::fs::write(cwd.join("far.toml"), spec).unwrap();
+    let out = ants(&["workload", "run", "far.toml", "--backend", "dp"], &cwd);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("error: cell 'walk/far': exact backend guard tripped"), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    std::fs::remove_dir_all(&cwd).ok();
+}
+
 /// A spec-level `backend = "dp"` on a non-Markovian cell fails
 /// `ants workload validate` with a spec-path error naming the strategy.
 #[test]

@@ -74,34 +74,34 @@ impl Table {
     }
 }
 
-/// [`absorption_cdf`] with an explicit table representation: `Dense`
-/// runs the dense solver below, `Sparse` the frontier solver
-/// ([`crate::sparse_absorption_cdf`]), and `Auto` resolves against the
-/// predicted dense shape ([`crate::DpMode::resolve`]) — dense at or
-/// below the measured break-even so small-cell results stay
-/// byte-identical to the dense-only backend, sparse beyond it.
+/// Compute the exact absorption CDF of a single agent driven by
+/// `collapsed` against `target`, for move budgets up to `budget`, on
+/// whichever table the predicted shape favours: the dense solver
+/// ([`dense_absorption_cdf`]) at or below the measured break-even, the
+/// sparse frontier ([`crate::sparse_absorption_cdf`]) beyond it while a
+/// single state's square fits the frontier cap, dense (and so its
+/// guard) past that.
 ///
 /// # Errors
 ///
-/// As the resolved solver.
-pub fn absorption_cdf_mode(
+/// As the chosen solver.
+pub fn absorption_cdf(
     collapsed: &CollapsedKernel,
     label: &str,
     target: Point,
     budget: u64,
-    mode: crate::DpMode,
 ) -> Result<AbsorptionCurve, DpError> {
-    match mode.resolve(collapsed.rows.len(), budget) {
-        crate::DpMode::Sparse => {
-            crate::frontier::sparse_absorption_cdf(collapsed, label, target, budget)
-        }
-        _ => absorption_cdf(collapsed, label, target, budget),
+    if crate::use_sparse(collapsed.rows.len(), budget) {
+        crate::frontier::sparse_absorption_cdf(collapsed, label, target, budget)
+    } else {
+        dense_absorption_cdf(collapsed, label, target, budget)
     }
 }
 
 /// Compute the exact absorption CDF of a single agent driven by
 /// `collapsed` against `target`, for move budgets up to `budget`, on
-/// the dense table.
+/// the dense table — the reference the sparse frontier is checked
+/// against.
 ///
 /// # Errors
 ///
@@ -111,7 +111,7 @@ pub fn absorption_cdf_mode(
 ///   [`crate::TRUNCATION_TOL`].
 /// * [`DpError::Unsupported`] when `target` is the origin (targets are
 ///   never placed there).
-pub fn absorption_cdf(
+pub fn dense_absorption_cdf(
     collapsed: &CollapsedKernel,
     label: &str,
     target: Point,
@@ -134,9 +134,7 @@ pub fn absorption_cdf(
                  move budget {budget})"
             ),
             limit: crate::MAX_TABLE_ENTRIES,
-            hint: "set dp_mode = \"sparse\" (or --dp-mode sparse) to solve it on the sparse \
-                   frontier, shrink the cell, or use backend = \"mc\""
-                .into(),
+            hint: "shrink the move budget, or use backend = \"mc\"".into(),
         });
     }
 
@@ -252,7 +250,7 @@ mod tests {
         // from (0,-1) via (0,0) or (1,-1), from (-1,0) via (0,0) —
         // five paths of probability (1/4)^3 each.
         let c = collapse(&randomwalk_kernel()).unwrap();
-        let curve = absorption_cdf(&c, "randomwalk", Point::new(1, 0), 6).unwrap();
+        let curve = dense_absorption_cdf(&c, "randomwalk", Point::new(1, 0), 6).unwrap();
         assert_eq!(curve.cdf[0], 0.0);
         assert_eq!(curve.cdf[1], 0.25);
         assert_eq!(curve.cdf[2], 0.25);
@@ -269,9 +267,9 @@ mod tests {
         let inner = randomwalk_kernel();
         let k = mortal_kernel(&inner, 3).unwrap();
         let c = collapse(&k).unwrap();
-        let curve = absorption_cdf(&c, "mortal", Point::new(1, 0), 8).unwrap();
+        let curve = dense_absorption_cdf(&c, "mortal", Point::new(1, 0), 8).unwrap();
         let base = collapse(&inner).unwrap();
-        let free = absorption_cdf(&base, "randomwalk", Point::new(1, 0), 8).unwrap();
+        let free = dense_absorption_cdf(&base, "randomwalk", Point::new(1, 0), 8).unwrap();
         // Identical while alive, frozen after the third move.
         for m in 0..=3 {
             assert_eq!(curve.cdf[m], free.cdf[m], "move {m}");
@@ -286,7 +284,7 @@ mod tests {
     fn nonuniform_far_target_unreachable_mass_is_conserved() {
         let k = nonuniform_kernel(4).unwrap();
         let c = collapse(&k).unwrap();
-        let curve = absorption_cdf(&c, "nonuniform(4)", Point::new(2, 2), 32).unwrap();
+        let curve = dense_absorption_cdf(&c, "nonuniform(4)", Point::new(2, 2), 32).unwrap();
         assert!(curve.cdf[32] > 0.0 && curve.cdf[32] < 1.0);
         assert!(curve.lost < crate::TRUNCATION_TOL);
     }
@@ -294,14 +292,14 @@ mod tests {
     #[test]
     fn table_guard_trips_on_huge_budget() {
         let c = collapse(&randomwalk_kernel()).unwrap();
-        let err = absorption_cdf(&c, "randomwalk", Point::new(1, 0), 1 << 12).unwrap_err();
+        let err = dense_absorption_cdf(&c, "randomwalk", Point::new(1, 0), 1 << 12).unwrap_err();
         assert!(matches!(err, DpError::Guard { .. }), "{err}");
     }
 
     #[test]
     fn origin_target_rejected() {
         let c = collapse(&randomwalk_kernel()).unwrap();
-        let err = absorption_cdf(&c, "randomwalk", Point::ORIGIN, 4).unwrap_err();
+        let err = dense_absorption_cdf(&c, "randomwalk", Point::ORIGIN, 4).unwrap_err();
         assert!(matches!(err, DpError::Unsupported { .. }));
     }
 }

@@ -25,8 +25,8 @@ pub enum DpError {
         what: String,
         /// The guard's limit.
         limit: usize,
-        /// What to do about it (e.g. switch `dp_mode`, shrink the cell,
-        /// fall back to Monte Carlo).
+        /// What to do about it (e.g. shrink the cell, fall back to
+        /// Monte Carlo).
         hint: String,
     },
     /// Truncated tail mass (e.g. the uniform kernel's phase cap)

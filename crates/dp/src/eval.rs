@@ -38,12 +38,11 @@
 //!   footprint reached with probability above
 //!   [`crate::CHI_MASS_FLOOR`] (MC reports the per-run running max).
 
-use crate::absorb::absorption_cdf_mode;
+use crate::absorb::absorption_cdf;
 use crate::collapse::{collapse, CollapsedKernel};
 use crate::error::DpError;
 use crate::kernel::{kernel_fingerprint, MarkovKernel, TableKernel};
-use crate::rounds::{chi_support, step_absorption_cdf_mode, visit_survival_curve_mode};
-use crate::DpMode;
+use crate::rounds::{chi_support, step_absorption_cdf, visit_survival_curve};
 use ants_grid::{Point, Rect, TargetPlacement};
 use std::sync::Arc;
 
@@ -99,15 +98,12 @@ pub struct DpRequest {
     pub targets: Vec<(Point, f64)>,
     /// Observation metrics to evaluate, if any.
     pub metrics: Option<DpMetrics>,
-    /// Table representation for every DP in the cell (see
-    /// [`DpMode::resolve`] for how `Auto` picks per solve).
-    pub mode: DpMode,
 }
 
 /// A cross-cell cache for solved DP curves.
 ///
-/// The exact backend solves one curve per `(kernel, point, clock,
-/// mode)`; sweeps re-solve the same curves cell after cell whenever only
+/// The exact backend solves one curve per `(kernel, point, clock)`;
+/// sweeps re-solve the same curves cell after cell whenever only
 /// the agent count or trial count varies. Implementations (the workload
 /// layer's `DpMemo`) store the solved curves keyed by a string that
 /// starts from [`kernel_fingerprint`], so a hit is guaranteed to return
@@ -294,7 +290,6 @@ pub struct CurveUnit {
     kind: CurveKind,
     point: Point,
     clock: u64,
-    mode: DpMode,
 }
 
 impl CurveUnit {
@@ -304,18 +299,17 @@ impl CurveUnit {
         fingerprint: u128,
         point: Point,
         clock: u64,
-        mode: DpMode,
     ) -> CurveUnit {
         let tag = match kind {
             CurveKind::Absorption => 'a',
             CurveKind::Survival => 's',
             CurveKind::FoundRound => 'r',
         };
-        let key = format!("{tag}|{fingerprint:032x}|{},{}|{clock}|{mode}", point.x, point.y);
-        CurveUnit { key, strategy, fingerprint, kind, point, clock, mode }
+        let key = format!("{tag}|{fingerprint:032x}|{},{}|{clock}", point.x, point.y);
+        CurveUnit { key, strategy, fingerprint, kind, point, clock }
     }
 
-    /// The cache key, `{a|s|r}|{fingerprint}|{x},{y}|{clock}|{mode}`:
+    /// The cache key, `{a|s|r}|{fingerprint}|{x},{y}|{clock}`:
     /// two units with equal keys solve to the same bytes.
     pub fn key(&self) -> &str {
         &self.key
@@ -334,6 +328,17 @@ impl CurveUnit {
     /// The curve kind.
     pub fn kind(&self) -> CurveKind {
         self.kind
+    }
+
+    /// The target or bounds cell the curve is solved against.
+    pub fn point(&self) -> Point {
+        self.point
+    }
+
+    /// The curve's horizon: the move budget for absorption curves, the
+    /// observation round count otherwise.
+    pub fn clock(&self) -> u64 {
+        self.clock
     }
 }
 
@@ -395,9 +400,7 @@ pub fn curve_units(req: &DpRequest) -> Result<Vec<CurveUnit>, DpError> {
     validate(req)?;
     let fps: Vec<u128> = req.population.iter().map(|s| kernel_fingerprint(&s.kernel)).collect();
     let per_point = |kind: CurveKind, point: Point, clock: u64| {
-        fps.iter()
-            .enumerate()
-            .map(move |(si, &fp)| CurveUnit::new(kind, si, fp, point, clock, req.mode))
+        fps.iter().enumerate().map(move |(si, &fp)| CurveUnit::new(kind, si, fp, point, clock))
     };
     let mut units: Vec<CurveUnit> = req
         .targets
@@ -442,15 +445,10 @@ pub fn solve_unit<'a>(
     let label = kernel.label();
     match unit.kind {
         CurveKind::Absorption => {
-            absorption_cdf_mode(collapsed()?, label, unit.point, unit.clock, unit.mode)
-                .map(|curve| curve.cdf)
+            absorption_cdf(collapsed()?, label, unit.point, unit.clock).map(|curve| curve.cdf)
         }
-        CurveKind::Survival => {
-            visit_survival_curve_mode(kernel, label, unit.point, unit.clock, unit.mode)
-        }
-        CurveKind::FoundRound => {
-            step_absorption_cdf_mode(kernel, label, unit.point, unit.clock, unit.mode)
-        }
+        CurveKind::Survival => visit_survival_curve(kernel, label, unit.point, unit.clock),
+        CurveKind::FoundRound => step_absorption_cdf(kernel, label, unit.point, unit.clock),
     }
 }
 
@@ -468,7 +466,7 @@ pub fn evaluate(req: &DpRequest) -> Result<DpCellReport, DpError> {
 /// absorption, survival, and found-round curve is looked up before
 /// solving and stored after solving. Cache keys start from
 /// [`kernel_fingerprint`], so two cells sharing a strategy, a point,
-/// a clock and a [`DpMode`] share the solve — byte-identically.
+/// and a clock share the solve — byte-identically.
 ///
 /// This is the one-cell, one-thread composition of the three steps
 /// ([`curve_units`], [`solve_unit`], [`combine`]); a host evaluating
@@ -642,7 +640,6 @@ pub fn combine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::absorb::absorption_cdf;
     use crate::kernel::{nonuniform_kernel, randomwalk_kernel};
 
     fn walk_req(agents: u64, budget: u64, targets: Vec<(Point, f64)>) -> DpRequest {
@@ -653,7 +650,6 @@ mod tests {
             population: vec![DpStrategy { weight: 1, kernel: randomwalk_kernel() }],
             targets,
             metrics: None,
-            mode: DpMode::Auto,
         }
     }
 
@@ -662,7 +658,7 @@ mod tests {
         let req = walk_req(1, 8, vec![(Point::new(1, 0), 1.0)]);
         let rep = evaluate(&req).unwrap();
         let c = collapse(&randomwalk_kernel()).unwrap();
-        let curve = absorption_cdf(&c, "rw", Point::new(1, 0), 8).unwrap();
+        let curve = crate::dense_absorption_cdf(&c, "rw", Point::new(1, 0), 8).unwrap();
         assert_eq!(rep.success, *curve.cdf.last().unwrap());
         assert_eq!(rep.found, rep.success * 1000.0);
     }
@@ -690,7 +686,6 @@ mod tests {
             population,
             targets: target.clone(),
             metrics: None,
-            mode: DpMode::Auto,
         };
         let a = evaluate(&mk(vec![walk.clone()])).unwrap();
         let b = evaluate(&mk(vec![nu.clone()])).unwrap();

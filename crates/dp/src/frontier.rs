@@ -267,7 +267,7 @@ fn check_frontier(label: &str, len: usize, m: i64, clock: &str) -> Result<(), Dp
     Ok(())
 }
 
-/// Sparse twin of [`crate::absorb::absorption_cdf`]: same semantics,
+/// Sparse twin of [`crate::dense_absorption_cdf`]: same semantics,
 /// same accounting, frontier storage. Unfolded solves are bit-identical
 /// to the dense table; folded solves agree to well within
 /// [`crate::TRUNCATION_TOL`].
@@ -418,9 +418,9 @@ pub fn sparse_absorption_cdf_stats(
     ))
 }
 
-/// Sparse twin of the step-indexed first-landing DP behind
-/// [`crate::rounds::step_absorption_cdf`] /
-/// [`crate::rounds::visit_survival_curve`]: raw per-step kernel rows,
+/// Sparse twin of [`crate::dense_first_landing_cdf`], the step-indexed
+/// DP behind [`crate::step_absorption_cdf`] /
+/// [`crate::visit_survival_curve`]: raw per-step kernel rows,
 /// absorption on move landings only, `Origin` teleports to the origin.
 ///
 /// # Errors
@@ -537,7 +537,7 @@ mod tests {
         // dense summation order exactly — byte-identical CDF.
         let c = collapse(&nonuniform_kernel(4).unwrap()).unwrap();
         let target = Point::new(2, 1);
-        let dense = crate::absorb::absorption_cdf(&c, "nu", target, 24).unwrap();
+        let dense = crate::absorb::dense_absorption_cdf(&c, "nu", target, 24).unwrap();
         let (sparse, stats) = sparse_absorption_cdf_stats(&c, "nu", target, 24).unwrap();
         assert!(!stats.folded);
         assert_eq!(dense.lost.to_bits(), sparse.lost.to_bits());
@@ -550,7 +550,7 @@ mod tests {
     fn folded_sparse_agrees_with_dense_on_axis_target() {
         let c = collapse(&randomwalk_kernel()).unwrap();
         let target = Point::new(3, 0);
-        let dense = crate::absorb::absorption_cdf(&c, "rw", target, 32).unwrap();
+        let dense = crate::absorb::dense_absorption_cdf(&c, "rw", target, 32).unwrap();
         let (sparse, stats) = sparse_absorption_cdf_stats(&c, "rw", target, 32).unwrap();
         assert!(stats.folded, "axis target must fold");
         for (m, (a, b)) in dense.cdf.iter().zip(sparse.cdf.iter()).enumerate() {
@@ -572,7 +572,7 @@ mod tests {
         let c = collapse(&k).unwrap();
         let target = Point::new(4, 0);
         assert!(matches!(
-            crate::absorb::absorption_cdf(&c, "mortal", target, 64),
+            crate::absorb::dense_absorption_cdf(&c, "mortal", target, 64),
             Err(DpError::Guard { .. })
         ));
         let (curve, stats) = sparse_absorption_cdf_stats(&c, "mortal", target, 64).unwrap();
@@ -581,7 +581,7 @@ mod tests {
         // The free walk never expires within 64 moves, so the curves
         // agree with the plain random walk's.
         let free = collapse(&inner).unwrap();
-        let base = crate::absorb::absorption_cdf(&free, "rw", target, 64).unwrap();
+        let base = crate::absorb::dense_absorption_cdf(&free, "rw", target, 64).unwrap();
         for (m, (a, b)) in base.cdf.iter().zip(curve.cdf.iter()).enumerate() {
             assert!((a - b).abs() <= 1e-12, "move {m}: {a} vs {b}");
         }
@@ -592,7 +592,8 @@ mod tests {
         // The random walk's single state is row-invariant under every
         // mirror, so a diagonal target folds.
         let rw = randomwalk_kernel();
-        let dense = crate::rounds::step_absorption_cdf(&rw, "rw", Point::new(2, 2), 24).unwrap();
+        let dense =
+            crate::rounds::dense_first_landing_cdf(&rw, "rw", Point::new(2, 2), 24).unwrap();
         let (sparse, stats) = sparse_first_landing_cdf(&rw, "rw", Point::new(2, 2), 24).unwrap();
         assert!(stats.folded, "diagonal target must fold for the random walk");
         for (r, (a, b)) in dense.iter().zip(sparse.iter()).enumerate() {
@@ -606,7 +607,7 @@ mod tests {
         for target in [Point::new(1, 1), Point::new(2, 1)] {
             let (unfolded, ustats) = sparse_first_landing_cdf(&k, "nu", target, 24).unwrap();
             assert!(!ustats.folded);
-            let dense2 = crate::rounds::step_absorption_cdf(&k, "nu", target, 24).unwrap();
+            let dense2 = crate::rounds::dense_first_landing_cdf(&k, "nu", target, 24).unwrap();
             for (r, (a, b)) in dense2.iter().zip(unfolded.iter()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "round {r}");
             }

@@ -10,7 +10,8 @@
 //! is recorded at round 0 at spawn; `Origin` teleports do not record).
 //!
 //! Both public curves are first-passage problems solved by the same
-//! dense forward DP:
+//! forward DP, on the dense table or the sparse frontier by the rule of
+//! [`crate::absorption_cdf`]:
 //!
 //! * [`step_absorption_cdf`] — `F(r)` = P(a move has landed on the
 //!   target within the first `r` rounds): the found-round curve;
@@ -31,10 +32,18 @@ use crate::kernel::{MarkovKernel, PositionClass};
 use ants_automaton::GridAction;
 use ants_grid::Point;
 
-/// First-landing CDF of `kernel` on `point` over `horizon` rounds:
-/// `out[r]` = P(some move within rounds `1..=r` landed on `point`).
-/// `out[0] = 0`; monotone non-decreasing by construction.
-fn first_landing_cdf(
+/// First-landing CDF of `kernel` on `point` over `horizon` rounds, on
+/// the dense table: `out[r]` = P(some move within rounds `1..=r` landed
+/// on `point`). `out[0] = 0`; monotone non-decreasing by construction.
+/// The reference the sparse frontier
+/// ([`crate::sparse_first_landing_cdf`]) is checked against.
+///
+/// # Errors
+///
+/// [`DpError::Guard`] when the dense table would exceed
+/// [`crate::MAX_TABLE_ENTRIES`]; [`DpError::Truncation`] as documented
+/// on the module.
+pub fn dense_first_landing_cdf(
     kernel: &dyn MarkovKernel,
     label: &str,
     point: Point,
@@ -50,9 +59,7 @@ fn first_landing_cdf(
                  horizon {horizon})"
             ),
             limit: crate::MAX_TABLE_ENTRIES,
-            hint: "set dp_mode = \"sparse\" (or --dp-mode sparse) to solve it on the sparse \
-                   frontier, shrink the cell, or use backend = \"mc\""
-                .into(),
+            hint: "shrink the move budget, or use backend = \"mc\"".into(),
         });
     }
     let mut is_trunc = vec![false; states];
@@ -133,6 +140,21 @@ fn first_landing_cdf(
     Ok(out)
 }
 
+/// First-landing CDF on the table the predicted shape favours (see
+/// [`crate::absorption_cdf`] for the rule).
+fn first_landing_cdf(
+    kernel: &dyn MarkovKernel,
+    label: &str,
+    point: Point,
+    horizon: u64,
+) -> Result<Vec<f64>, DpError> {
+    if crate::use_sparse(kernel.num_states(), horizon) {
+        crate::frontier::sparse_first_landing_cdf(kernel, label, point, horizon).map(|(f, _)| f)
+    } else {
+        dense_first_landing_cdf(kernel, label, point, horizon)
+    }
+}
+
 /// The found-round curve: `out[r]` = P(the agent has found `target`
 /// within the first `r` rounds of observed stepping).
 ///
@@ -146,35 +168,13 @@ pub fn step_absorption_cdf(
     target: Point,
     horizon: u64,
 ) -> Result<Vec<f64>, DpError> {
-    step_absorption_cdf_mode(kernel, label, target, horizon, crate::DpMode::Dense)
-}
-
-/// [`step_absorption_cdf`] with an explicit table representation
-/// (see [`crate::DpMode::resolve`] for how `Auto` picks).
-///
-/// # Errors
-///
-/// As [`step_absorption_cdf`], against the resolved solver.
-pub fn step_absorption_cdf_mode(
-    kernel: &dyn MarkovKernel,
-    label: &str,
-    target: Point,
-    horizon: u64,
-    mode: crate::DpMode,
-) -> Result<Vec<f64>, DpError> {
     if target == Point::ORIGIN {
         return Err(DpError::Unsupported {
             what: "a found-round curve for an origin target".into(),
             reason: "targets are never placed on the origin".into(),
         });
     }
-    match mode.resolve(kernel.num_states(), horizon) {
-        crate::DpMode::Sparse => {
-            crate::frontier::sparse_first_landing_cdf(kernel, label, target, horizon)
-                .map(|(cdf, _)| cdf)
-        }
-        _ => first_landing_cdf(kernel, label, target, horizon),
-    }
+    first_landing_cdf(kernel, label, target, horizon)
 }
 
 /// The per-cell survival curve: `out[r]` = P(`cell` is still unvisited
@@ -191,31 +191,10 @@ pub fn visit_survival_curve(
     cell: Point,
     horizon: u64,
 ) -> Result<Vec<f64>, DpError> {
-    visit_survival_curve_mode(kernel, label, cell, horizon, crate::DpMode::Dense)
-}
-
-/// [`visit_survival_curve`] with an explicit table representation
-/// (see [`crate::DpMode::resolve`] for how `Auto` picks).
-///
-/// # Errors
-///
-/// As [`visit_survival_curve`], against the resolved solver.
-pub fn visit_survival_curve_mode(
-    kernel: &dyn MarkovKernel,
-    label: &str,
-    cell: Point,
-    horizon: u64,
-    mode: crate::DpMode,
-) -> Result<Vec<f64>, DpError> {
     if cell == Point::ORIGIN {
         return Ok(vec![0.0; horizon as usize + 1]);
     }
-    let f = match mode.resolve(kernel.num_states(), horizon) {
-        crate::DpMode::Sparse => {
-            crate::frontier::sparse_first_landing_cdf(kernel, label, cell, horizon)?.0
-        }
-        _ => first_landing_cdf(kernel, label, cell, horizon)?,
-    };
+    let f = first_landing_cdf(kernel, label, cell, horizon)?;
     Ok(f.into_iter().map(|p| 1.0 - p).collect())
 }
 
@@ -269,9 +248,10 @@ mod tests {
         // For the random walk every step is a move, so the step-indexed
         // curve equals the move-indexed one.
         let k = randomwalk_kernel();
-        let by_round = step_absorption_cdf(&k, "rw", Point::new(1, 0), 6).unwrap();
+        let by_round = dense_first_landing_cdf(&k, "rw", Point::new(1, 0), 6).unwrap();
         let collapsed = crate::collapse::collapse(&k).unwrap();
-        let by_move = crate::absorb::absorption_cdf(&collapsed, "rw", Point::new(1, 0), 6).unwrap();
+        let by_move =
+            crate::absorb::dense_absorption_cdf(&collapsed, "rw", Point::new(1, 0), 6).unwrap();
         for (r, (a, b)) in by_round.iter().zip(by_move.cdf.iter()).enumerate() {
             assert!((a - b).abs() < 1e-15, "round {r}: {a} vs {b}");
         }
@@ -282,10 +262,10 @@ mod tests {
         // Coin flips consume rounds without moving, so the round-indexed
         // CDF is pointwise at most the move-indexed one.
         let k = nonuniform_kernel(4).unwrap();
-        let by_round = step_absorption_cdf(&k, "nu", Point::new(1, 1), 24).unwrap();
+        let by_round = dense_first_landing_cdf(&k, "nu", Point::new(1, 1), 24).unwrap();
         let collapsed = crate::collapse::collapse(&k).unwrap();
         let by_move =
-            crate::absorb::absorption_cdf(&collapsed, "nu", Point::new(1, 1), 24).unwrap();
+            crate::absorb::dense_absorption_cdf(&collapsed, "nu", Point::new(1, 1), 24).unwrap();
         for (r, (&br, &bm)) in by_round.iter().zip(by_move.cdf.iter()).enumerate() {
             assert!(br <= bm + 1e-15, "round {r}: {br} > {bm}");
         }

@@ -7,15 +7,17 @@
 //!   the only slack is f64 summation round-off);
 //! * **Closed state spaces** — no transition leaves the declared state
 //!   space, and the start state is inside it;
-//! * **Monotone CDFs** — the absorption CDF the forward DP produces is
+//! * **Monotone CDFs** — the absorption CDF each forward DP (the dense
+//!   table and the sparse frontier, each pinned on its own) produces is
 //!   monotone non-decreasing in the move budget, starts at zero, and
 //!   never exceeds 1 (up to round-off).
 
 use ants_automaton::library;
 use ants_dp::{
-    absorption_cdf, coin_kernel, collapse, mortal_kernel, nonuniform_kernel, pfa_kernel,
-    randomwalk_kernel, step_absorption_cdf, uniform_kernel, MarkovKernel, PositionClass,
-    TableKernel, UNIFORM_PHASE_CAP,
+    coin_kernel, collapse, dense_absorption_cdf, dense_first_landing_cdf, mortal_kernel,
+    nonuniform_kernel, pfa_kernel, randomwalk_kernel, sparse_absorption_cdf,
+    sparse_first_landing_cdf, uniform_kernel, MarkovKernel, PositionClass, TableKernel,
+    UNIFORM_PHASE_CAP,
 };
 use ants_grid::Point;
 use proptest::prelude::*;
@@ -120,17 +122,20 @@ proptest! {
         let target = if tx == 0 && ty == 0 { Point::new(1, 0) } else { Point::new(tx, ty) };
         let k = zoo_kernel(which);
         let c = collapse(&k).unwrap();
-        let curve = absorption_cdf(&c, k.label(), target, budget).unwrap();
-        prop_assert_eq!(curve.cdf.len(), budget as usize + 1);
-        prop_assert_eq!(curve.cdf[0], 0.0);
-        for m in 1..curve.cdf.len() {
-            prop_assert!(
-                curve.cdf[m] >= curve.cdf[m - 1],
-                "kernel {} target {target}: CDF decreases at move {m}",
-                k.label()
-            );
+        let dense = dense_absorption_cdf(&c, k.label(), target, budget).unwrap();
+        let sparse = sparse_absorption_cdf(&c, k.label(), target, budget).unwrap();
+        for (table, curve) in [("dense", dense), ("sparse", sparse)] {
+            prop_assert_eq!(curve.cdf.len(), budget as usize + 1);
+            prop_assert_eq!(curve.cdf[0], 0.0);
+            for m in 1..curve.cdf.len() {
+                prop_assert!(
+                    curve.cdf[m] >= curve.cdf[m - 1],
+                    "kernel {} target {target}: {table} CDF decreases at move {m}",
+                    k.label()
+                );
+            }
+            prop_assert!(*curve.cdf.last().unwrap() <= 1.0 + 1e-9);
         }
-        prop_assert!(*curve.cdf.last().unwrap() <= 1.0 + 1e-9);
     }
 
     #[test]
@@ -140,13 +145,17 @@ proptest! {
     ) {
         let target = Point::new(1, 1);
         let k = zoo_kernel(which);
-        let by_round = step_absorption_cdf(&k, k.label(), target, horizon).unwrap();
-        for r in 1..by_round.len() {
-            prop_assert!(by_round[r] >= by_round[r - 1]);
+        let by_round = dense_first_landing_cdf(&k, k.label(), target, horizon).unwrap();
+        let (sparse, _) = sparse_first_landing_cdf(&k, k.label(), target, horizon).unwrap();
+        for curve in [&by_round, &sparse] {
+            for r in 1..curve.len() {
+                prop_assert!(curve[r] >= curve[r - 1]);
+            }
         }
-        // Found within r rounds implies found within r moves.
+        // Found within r rounds implies found within r moves (the dense
+        // references on both clocks).
         let c = collapse(&k).unwrap();
-        let by_move = absorption_cdf(&c, k.label(), target, horizon).unwrap();
+        let by_move = dense_absorption_cdf(&c, k.label(), target, horizon).unwrap();
         for (r, (&br, &bm)) in by_round.iter().zip(by_move.cdf.iter()).enumerate() {
             prop_assert!(
                 br <= bm + 1e-12,

@@ -1,6 +1,8 @@
 //! Property battery for the sparse-frontier solvers: for *every* kernel
 //! the zoo can construct, the pruned sparse representation must agree
-//! with the dense tables wherever both run.
+//! with the dense tables wherever both run. The two solvers are called
+//! directly, so parity holds whichever one the exact backend picks for
+//! a given shape.
 //!
 //! Three invariants:
 //!
@@ -8,18 +10,19 @@
 //!   the sparse frontier matches the dense table pointwise within the
 //!   truncation budget (1e-9; fold-free kernels are bit-identical, and
 //!   folding may shift a value by strictly less than the pruned mass);
-//! * **Round-curve parity** — the per-round first-landing CDF and the
-//!   per-cell visit survival curve agree under the same bound;
+//! * **Round-curve parity** — the per-round first-landing CDF agrees
+//!   under the same bound, and the public found-round and visit
+//!   survival curves match it;
 //! * **Memo byte-identity** — a cell evaluated through a warm
 //!   cross-cell curve cache renders the exact same [`DpCellReport`] as
-//!   a fresh solve, for both representations.
+//!   a fresh solve.
 
 use ants_automaton::library;
 use ants_dp::{
-    absorption_cdf_mode, coin_kernel, collapse, evaluate_with, mortal_kernel, nonuniform_kernel,
-    pfa_kernel, randomwalk_kernel, step_absorption_cdf_mode, uniform_kernel,
-    visit_survival_curve_mode, DpMode, DpRequest, DpStrategy, MarkovKernel, SolveCache,
-    TableKernel, UNIFORM_PHASE_CAP,
+    coin_kernel, collapse, dense_absorption_cdf, dense_first_landing_cdf, evaluate_with,
+    mortal_kernel, nonuniform_kernel, pfa_kernel, randomwalk_kernel, sparse_absorption_cdf,
+    sparse_first_landing_cdf, step_absorption_cdf, uniform_kernel, visit_survival_curve, DpRequest,
+    DpStrategy, MarkovKernel, SolveCache, TableKernel, UNIFORM_PHASE_CAP,
 };
 use ants_grid::Point;
 use proptest::prelude::*;
@@ -81,8 +84,8 @@ proptest! {
         let target = if tx == 0 && ty == 0 { Point::new(1, 0) } else { Point::new(tx, ty) };
         let k = zoo_kernel(which);
         let c = collapse(&k).unwrap();
-        let dense = absorption_cdf_mode(&c, k.label(), target, budget, DpMode::Dense).unwrap();
-        let sparse = absorption_cdf_mode(&c, k.label(), target, budget, DpMode::Sparse).unwrap();
+        let dense = dense_absorption_cdf(&c, k.label(), target, budget).unwrap();
+        let sparse = sparse_absorption_cdf(&c, k.label(), target, budget).unwrap();
         prop_assert_eq!(dense.cdf.len(), sparse.cdf.len());
         for (m, (&d, &s)) in dense.cdf.iter().zip(sparse.cdf.iter()).enumerate() {
             prop_assert!(
@@ -100,10 +103,8 @@ proptest! {
     ) {
         let target = Point::new(1, 1);
         let k = zoo_kernel(which);
-        let dense =
-            step_absorption_cdf_mode(&k, k.label(), target, horizon, DpMode::Dense).unwrap();
-        let sparse =
-            step_absorption_cdf_mode(&k, k.label(), target, horizon, DpMode::Sparse).unwrap();
+        let dense = dense_first_landing_cdf(&k, k.label(), target, horizon).unwrap();
+        let (sparse, _) = sparse_first_landing_cdf(&k, k.label(), target, horizon).unwrap();
         prop_assert_eq!(dense.len(), sparse.len());
         for (r, (&d, &s)) in dense.iter().zip(sparse.iter()).enumerate() {
             prop_assert!(
@@ -112,14 +113,15 @@ proptest! {
                 k.label()
             );
         }
-        let dense_q =
-            visit_survival_curve_mode(&k, k.label(), target, horizon, DpMode::Dense).unwrap();
-        let sparse_q =
-            visit_survival_curve_mode(&k, k.label(), target, horizon, DpMode::Sparse).unwrap();
-        for (r, (&d, &s)) in dense_q.iter().zip(sparse_q.iter()).enumerate() {
+        // The public curves, on whichever table the backend picks, stay
+        // within the same bound of the dense reference.
+        let found = step_absorption_cdf(&k, k.label(), target, horizon).unwrap();
+        let survival = visit_survival_curve(&k, k.label(), target, horizon).unwrap();
+        prop_assert_eq!(survival.len(), dense.len());
+        for (r, ((&d, &f), &q)) in dense.iter().zip(&found).zip(&survival).enumerate() {
             prop_assert!(
-                (d - s).abs() <= PARITY_TOL,
-                "kernel {} survival round {r}: dense {d} vs sparse {s}",
+                (d - f).abs() <= PARITY_TOL && ((1.0 - d) - q).abs() <= PARITY_TOL,
+                "kernel {} round {r}: dense {d} vs found {f} / survival {q}",
                 k.label()
             );
         }
@@ -129,9 +131,7 @@ proptest! {
     fn memoized_reports_render_byte_identical(
         which in 0usize..ZOO_SIZE,
         budget in 1u64..24,
-        sparse in any::<bool>(),
     ) {
-        let mode = if sparse { DpMode::Sparse } else { DpMode::Dense };
         let req = DpRequest {
             agents: 2,
             move_budget: budget,
@@ -139,7 +139,6 @@ proptest! {
             population: vec![DpStrategy { weight: 1, kernel: zoo_kernel(which) }],
             targets: vec![(Point::new(1, 1), 1.0), (Point::new(2, 0), 1.0 / 2.0)],
             metrics: None,
-            mode,
         };
         let fresh = evaluate_with(&req, None).unwrap();
         let cache = MapCache::default();

@@ -43,7 +43,6 @@ mod coin;
 mod composite;
 mod dyadic;
 mod geometric;
-mod knuth_yao;
 mod ledger;
 mod rng;
 mod splitmix;
@@ -54,7 +53,6 @@ pub use coin::{BiasedCoin, Coin, Flip};
 pub use composite::CompositeCoin;
 pub use dyadic::{DyadicError, DyadicProb};
 pub use geometric::Geometric;
-pub use knuth_yao::{KnuthYao, KnuthYaoError};
 pub use ledger::ProbabilityLedger;
 pub use rng::{Rng64, SeedableRng64};
 pub use splitmix::SplitMix64;

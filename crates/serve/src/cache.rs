@@ -48,22 +48,15 @@ pub fn safe_commit(commit: &str) -> bool {
 
 /// Compose the cache key for running `plan` under `cfg` at `commit`.
 ///
-/// `{plan-hash}-s{seed}-{effort}[-b{backend}][-d{dp_mode}][-m{metrics}]-{commit}`:
+/// `{plan-hash}-s{seed}-{effort}[-b{backend}][-m{metrics}]-{commit}`:
 /// the hash covers everything the spec means (cells, populations,
 /// seeds tags, metrics the spec declares); the suffix covers the run
-/// inputs layered on top by the request and the daemon. The `dp_mode`
-/// override is keyed even though sparse and dense agree to ≤ 1e-9:
-/// the cache stores bytes, and the representations are not bit-equal
-/// where folding applies.
+/// inputs layered on top by the request and the daemon.
 pub fn cache_key(plan: &WorkloadPlan, cfg: &RunConfig, commit: &str) -> String {
     let mut key = format!("{}-s{}-{}", plan.content_hash(), cfg.base_seed, cfg.effort.as_str());
     if let Some(b) = cfg.backend {
         key.push_str("-b");
         key.push_str(b.as_str());
-    }
-    if let Some(m) = cfg.dp_mode {
-        key.push_str("-d");
-        key.push_str(m.as_str());
     }
     if !cfg.metrics.is_empty() {
         let names: Vec<&str> = cfg.metrics.iter().map(|m| m.as_str()).collect();
@@ -222,10 +215,6 @@ population = [ { strategy = \"randomwalk\" } ]
         assert_ne!(base, cache_key(&plan, &RunConfig::standard(), "other"));
         let dp = RunConfig::standard().with_backend(Some(ants_dp::Backend::Dp));
         assert_ne!(base, cache_key(&plan, &dp, "local"));
-        let sparse = RunConfig::standard().with_dp_mode(Some(ants_dp::DpMode::Sparse));
-        let sparse_key = cache_key(&plan, &sparse, "local");
-        assert_ne!(base, sparse_key);
-        assert!(sparse_key.contains("-dsparse"), "{sparse_key}");
         let metrics = RunConfig::standard()
             .with_metrics(ants_sim::MetricSet::parse_list("coverage").unwrap());
         assert_ne!(base, cache_key(&plan, &metrics, "local"));

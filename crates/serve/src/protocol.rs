@@ -19,7 +19,7 @@
 //! wire losslessly via the string sentinels.
 
 use ants_bench::{Effort, GateThresholds};
-use ants_dp::{Backend, DpMode};
+use ants_dp::Backend;
 use ants_sim::json::{escape, number, Json};
 use ants_sim::MetricSet;
 
@@ -60,6 +60,19 @@ impl Op {
     }
 }
 
+/// Every field a request line may carry; anything else is refused.
+const FIELDS: [&str; 9] = [
+    "op",
+    "spec",
+    "effort",
+    "seed",
+    "metrics",
+    "backend",
+    "metric_rel_tol",
+    "wall_factor",
+    "wall_floor_ms",
+];
+
 /// One request line.
 ///
 /// `spec` is the workload TOML text (required for `submit`/`gate`,
@@ -82,8 +95,6 @@ pub struct Request {
     pub metrics: MetricSet,
     /// Backend override (`None` = respect per-cell spec keys).
     pub backend: Option<Backend>,
-    /// DP representation override (`None` = respect per-cell spec keys).
-    pub dp_mode: Option<DpMode>,
     /// Gate thresholds (`None` = [`GateThresholds::default`]).
     pub thresholds: Option<GateThresholds>,
 }
@@ -98,7 +109,6 @@ impl Request {
             seed: 0,
             metrics: MetricSet::empty(),
             backend: None,
-            dp_mode: None,
             thresholds: None,
         }
     }
@@ -124,9 +134,6 @@ impl Request {
         if let Some(b) = self.backend {
             out.push_str(&format!(",\"backend\":\"{}\"", b.as_str()));
         }
-        if let Some(m) = self.dp_mode {
-            out.push_str(&format!(",\"dp_mode\":\"{}\"", m.as_str()));
-        }
         if let Some(t) = self.thresholds {
             out.push_str(&format!(
                 ",\"metric_rel_tol\":{},\"wall_factor\":{},\"wall_floor_ms\":{}",
@@ -143,9 +150,10 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Malformed JSON, an unknown `op`, unknown effort/backend/metric
-    /// names, or a missing spec on an op that needs one — all as a
-    /// message the server echoes back in an `error` event.
+    /// Malformed JSON, an unknown `op`, an unknown field (the removed
+    /// `dp_mode` named as such), unknown effort/backend/metric names, or
+    /// a missing spec on an op that needs one — all as a message the
+    /// server echoes back in an `error` event.
     pub fn parse(line: &str) -> Result<Request, String> {
         let doc = Json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
         let op_name = doc
@@ -155,6 +163,19 @@ impl Request {
         let op = Op::parse(op_name).ok_or_else(|| {
             format!("unknown op '{op_name}' (allowed: submit, gate, stats, shutdown)")
         })?;
+        for key in doc.keys() {
+            if key == "dp_mode" {
+                return Err("request field \"dp_mode\" was removed: the exact backend picks \
+                            dense or sparse tables itself"
+                    .to_string());
+            }
+            if !FIELDS.contains(&key) {
+                return Err(format!(
+                    "unknown request field \"{key}\" (allowed: {})",
+                    FIELDS.join(", ")
+                ));
+            }
+        }
         let spec = doc.get("spec").and_then(Json::as_str).unwrap_or("").to_string();
         if matches!(op, Op::Submit | Op::Gate) && spec.is_empty() {
             return Err(format!("op '{op_name}' needs a non-empty \"spec\" field"));
@@ -183,13 +204,6 @@ impl Request {
             }
             None => None,
         };
-        let dp_mode = match doc.get("dp_mode").and_then(Json::as_str) {
-            Some(m) => Some(
-                DpMode::parse(m)
-                    .ok_or_else(|| format!("unknown dp_mode '{m}' (dense|sparse|auto)"))?,
-            ),
-            None => None,
-        };
         let threshold = |key: &str| doc.get(key).and_then(|v| v.as_number());
         let thresholds = match (
             threshold("metric_rel_tol"),
@@ -206,7 +220,7 @@ impl Request {
                 })
             }
         };
-        Ok(Request { op, spec, effort, seed, metrics, backend, dp_mode, thresholds })
+        Ok(Request { op, spec, effort, seed, metrics, backend, thresholds })
     }
 }
 
@@ -249,7 +263,6 @@ mod tests {
         req.seed = 7;
         req.metrics = MetricSet::parse_list("coverage,chi").unwrap();
         req.backend = Some(Backend::Dp);
-        req.dp_mode = Some(DpMode::Sparse);
         req.thresholds = Some(GateThresholds { metric_rel_tol: 0.1, ..Default::default() });
         let line = req.to_json();
         assert!(!line.contains('\n'), "wire lines must be single lines: {line}");
@@ -259,7 +272,6 @@ mod tests {
         assert_eq!(back.effort, Effort::Smoke);
         assert_eq!(back.seed, 7);
         assert_eq!(back.backend, Some(Backend::Dp));
-        assert_eq!(back.dp_mode, Some(DpMode::Sparse));
         let names: Vec<&str> = back.metrics.iter().map(|m| m.as_str()).collect();
         assert_eq!(names, ["coverage", "chi"]);
         assert_eq!(back.thresholds.unwrap().metric_rel_tol, 0.1);
@@ -286,11 +298,20 @@ mod tests {
             "{\"op\":\"submit\",\"spec\":\"x\",\"seed\":-1}",
             "{\"op\":\"submit\",\"spec\":\"x\",\"seed\":1.5}",
             "{\"op\":\"submit\",\"spec\":\"x\",\"backend\":\"gpu\"}",
-            "{\"op\":\"submit\",\"spec\":\"x\",\"dp_mode\":\"frontier\"}",
+            "{\"op\":\"submit\",\"spec\":\"x\",\"threads\":4}",
             "{\"op\":\"submit\",\"spec\":\"x\",\"metrics\":\"bogus\"}",
         ] {
             assert!(Request::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn a_removed_dp_mode_field_is_a_named_error() {
+        let e =
+            Request::parse("{\"op\":\"submit\",\"spec\":\"x\",\"dp_mode\":\"dense\"}").unwrap_err();
+        assert!(e.contains("\"dp_mode\" was removed"), "{e}");
+        let line = error_event(&e);
+        assert_eq!(event_of(&line).as_deref(), Some("error"));
     }
 
     #[test]

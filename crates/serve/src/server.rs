@@ -329,7 +329,6 @@ fn submit(out: &mut TcpStream, state: &State, req: &Request) -> Result<SubmitOut
         .with_seed(req.seed)
         .with_metrics(req.metrics)
         .with_backend(req.backend)
-        .with_dp_mode(req.dp_mode)
         .with_threads(state.opts.threads)
         .with_granularity(state.opts.granularity)
         .with_chunk(state.opts.chunk)

@@ -256,7 +256,7 @@ fn cache_entries_are_trend_snapshots() {
     }
     // The stored descriptor is the audited canonical form.
     let descriptor = std::fs::read_to_string(entry.join("descriptor.txt")).unwrap();
-    assert!(descriptor.starts_with("plan-descriptor/v2\n"));
+    assert!(descriptor.starts_with("plan-descriptor/v3\n"));
     // The discovery file points at the live daemon.
     assert_eq!(ants_serve::discover_addr(&d.cache).unwrap(), d.addr);
 }

@@ -9,8 +9,7 @@ use crate::plan::PlannedCell;
 use crate::WorkloadError;
 use ants_dp::{
     collapse, combine, curve_units, evaluate_with, solve_unit, target_support, CollapsedKernel,
-    CurveKind, CurveUnit, DpCellReport, DpError, DpMetrics, DpMode, DpRequest, DpStrategy,
-    SolveCache,
+    CurveKind, CurveUnit, DpCellReport, DpError, DpMetrics, DpRequest, DpStrategy, SolveCache,
 };
 use ants_sim::{map_units, Metric, MetricSet, SweepOptions};
 use std::collections::HashMap;
@@ -21,8 +20,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 ///
 /// One memo can be shared across every cell of a sweep (and, in `ants
 /// serve`, across submissions): curves are keyed by kernel fingerprint,
-/// point, clock, and [`DpMode`], so cells that differ only in agent
-/// count or trial count reuse each other's solves byte-for-byte.
+/// point and clock, so cells that differ only in agent count or trial
+/// count reuse each other's solves byte-for-byte.
 /// Thread-safe; the counters feed the `dp_memo_hits` / `dp_memo_misses`
 /// telemetry.
 #[derive(Debug, Default)]
@@ -121,7 +120,6 @@ pub fn dp_request(
         population,
         targets,
         metrics: dp_metrics,
-        mode: cell.dp_mode,
     })
 }
 
@@ -138,14 +136,12 @@ pub fn evaluate_cell(
     smoke: bool,
     metrics: MetricSet,
 ) -> Result<DpCellReport, WorkloadError> {
-    evaluate_cell_with(cell, smoke, metrics, None, None)
+    evaluate_cell_with(cell, smoke, metrics, None)
 }
 
-/// [`evaluate_cell`] with a [`DpMode`] override (`--dp-mode`) and an
-/// optional cross-cell [`DpMemo`]. The override takes precedence over
-/// the cell's planned `dp_mode`; memoized evaluations are byte-identical
-/// to fresh ones (the memo returns the exact curves a fresh solve
-/// produces).
+/// [`evaluate_cell`] with an optional cross-cell [`DpMemo`]. Memoized
+/// evaluations are byte-identical to fresh ones (the memo returns the
+/// exact curves a fresh solve produces).
 ///
 /// # Errors
 ///
@@ -154,26 +150,10 @@ pub fn evaluate_cell_with(
     cell: &PlannedCell,
     smoke: bool,
     metrics: MetricSet,
-    mode_override: Option<DpMode>,
     memo: Option<&DpMemo>,
 ) -> Result<DpCellReport, WorkloadError> {
-    let req = cell_request(cell, smoke, metrics, mode_override)?;
+    let req = dp_request(cell, smoke, metrics)?;
     evaluate_with(&req, memo.map(|m| m as &dyn SolveCache)).map_err(|e| cell_error(cell, &e))
-}
-
-/// A cell's request with the `--dp-mode` override applied, or the
-/// cell-labelled failure to build it.
-fn cell_request(
-    cell: &PlannedCell,
-    smoke: bool,
-    metrics: MetricSet,
-    mode_override: Option<DpMode>,
-) -> Result<DpRequest, WorkloadError> {
-    let mut req = dp_request(cell, smoke, metrics)?;
-    if let Some(mode) = mode_override {
-        req.mode = mode;
-    }
-    Ok(req)
 }
 
 /// A [`DpError`] labelled with the cell it came from.
@@ -208,7 +188,6 @@ pub fn evaluate_cells(
     cells: &[&PlannedCell],
     smoke: bool,
     metrics: MetricSet,
-    mode_override: Option<DpMode>,
     memo: &DpMemo,
     opts: &SweepOptions,
 ) -> Vec<Result<DpCellReport, WorkloadError>> {
@@ -216,7 +195,7 @@ pub fn evaluate_cells(
     let listed: Vec<Result<(DpRequest, Vec<CurveUnit>), WorkloadError>> = cells
         .iter()
         .map(|cell| {
-            let req = cell_request(cell, smoke, metrics, mode_override)?;
+            let req = dp_request(cell, smoke, metrics)?;
             let units = curve_units(&req).map_err(|e| cell_error(cell, &e))?;
             Ok((req, units))
         })
@@ -367,7 +346,7 @@ sweep = { agents = [1, 2, 4] }
         for cell in &plan.cells {
             let fresh = evaluate_cell(cell, false, MetricSet::empty()).unwrap();
             let memoized =
-                evaluate_cell_with(cell, false, MetricSet::empty(), None, Some(&memo)).unwrap();
+                evaluate_cell_with(cell, false, MetricSet::empty(), Some(&memo)).unwrap();
             assert_eq!(fresh.success.to_bits(), memoized.success.to_bits(), "{}", cell.label);
             assert_eq!(fresh.mean_moves.to_bits(), memoized.mean_moves.to_bits(), "{}", cell.label);
         }
@@ -375,18 +354,6 @@ sweep = { agents = [1, 2, 4] }
         assert_eq!(misses, 1, "one absorption solve covers the whole sweep");
         assert_eq!(hits, 2, "the other two cells reuse it");
         assert_eq!(memo.len(), 1);
-        // A mode override changes the key, so it never aliases.
-        let report = evaluate_cell_with(
-            &plan.cells[0],
-            false,
-            MetricSet::empty(),
-            Some(DpMode::Sparse),
-            Some(&memo),
-        )
-        .unwrap();
-        assert_eq!(memo.len(), 2);
-        let base = evaluate_cell(&plan.cells[0], false, MetricSet::empty()).unwrap();
-        assert!((report.success - base.success).abs() <= 1e-9);
     }
 
     #[test]
@@ -424,7 +391,7 @@ population = [ { strategy = \"randomwalk\" } ]
         for threads in [1, 2] {
             let memo = DpMemo::new();
             let opts = SweepOptions::with_threads(Some(threads));
-            let reports = evaluate_cells(&cells, false, MetricSet::empty(), None, &memo, &opts);
+            let reports = evaluate_cells(&cells, false, MetricSet::empty(), &memo, &opts);
             assert_eq!(reports.len(), 4);
             let e = reports[2].as_ref().unwrap_err();
             assert!(e.context.contains("spiral") && e.message.contains("spiral"), "{e}");

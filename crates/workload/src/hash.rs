@@ -69,7 +69,7 @@ impl WorkloadPlan {
     /// eye, and a test can assert *why* two specs collide or do not.
     pub fn cache_descriptor(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "plan-descriptor/v2");
+        let _ = writeln!(out, "plan-descriptor/v3");
         let _ = writeln!(out, "name={}", self.name);
         let _ = writeln!(out, "key={}", self.key);
         let _ = writeln!(out, "description={}", self.description.escape_default());
@@ -79,7 +79,7 @@ impl WorkloadPlan {
             let _ = writeln!(
                 out,
                 "cell label={} agents={} target={} budget={} ceiling={} trials={} smoke={} \
-                 seed_tag={:016x} backend={} dp_mode={} population={}",
+                 seed_tag={:016x} backend={} population={}",
                 cell.label,
                 cell.agents,
                 cell.target_label(),
@@ -89,7 +89,6 @@ impl WorkloadPlan {
                 cell.smoke_trials,
                 cell.seed_tag,
                 cell.backend,
-                cell.dp_mode,
                 cell.population_label(),
             );
         }
@@ -170,18 +169,15 @@ target = { dist = 8, model = \"ball\" }
         let with_metrics = format!("{BASE}\n")
             .replace("name = \"canon\"\n", "name = \"canon\"\nmetrics = [\"coverage\"]\n");
         assert_ne!(base, hash_of(&with_metrics));
-        let with_mode = BASE.replace("agents = 2", "agents = 2\ndp_mode = \"sparse\"");
-        assert_ne!(base, hash_of(&with_mode), "dp_mode must move the hash");
     }
 
     #[test]
     fn descriptor_is_readable_and_versioned() {
         let plan = WorkloadPlan::expand(&WorkloadSpec::parse(BASE).unwrap()).unwrap();
         let d = plan.cache_descriptor();
-        assert!(d.starts_with("plan-descriptor/v2\n"), "{d}");
+        assert!(d.starts_with("plan-descriptor/v3\n"), "{d}");
         assert!(d.contains("cell label=c agents=2 target=ball(8)"), "{d}");
-        assert!(d.contains("dp_mode=auto"), "{d}");
-        assert!(d.contains("population=2:nonuniform(8)"), "{d}");
+        assert!(d.contains("backend=mc population=2:nonuniform(8)"), "{d}");
         assert_eq!(plan.content_hash().len(), 32);
     }
 

@@ -15,7 +15,7 @@
 use crate::spec::{CellSpec, Defaults, TargetSpec, WorkloadSpec};
 use crate::zoo::ResolvedStrategy;
 use crate::WorkloadError;
-use ants_dp::{Backend, DpMode};
+use ants_dp::Backend;
 use ants_grid::{Point, Rect, TargetPlacement};
 use ants_rng::{Rng64, SplitMix64};
 use ants_sim::{Metric, MetricSet, ObservedJob, ObserverSpec, Scenario, SweepJob};
@@ -51,10 +51,6 @@ pub struct PlannedCell {
     /// (validated at expansion time — a `"dp"` cell only contains
     /// Markovian strategies).
     pub backend: Backend,
-    /// Exact-backend table representation (cell override, then the
-    /// defaults, then `auto`). Carried even by `"mc"` cells (they ignore
-    /// it) so sweeps can flip backends without re-planning.
-    pub dp_mode: DpMode,
     /// The resolved weighted population.
     pub population: Vec<(u64, ResolvedStrategy)>,
 }
@@ -386,7 +382,6 @@ fn expand_cell(
         return Err(ctx("'guess_move_ceiling' must be >= 1".to_string()));
     }
     let backend = cell.backend.or(defaults.backend).unwrap_or_default();
-    let dp_mode = cell.dp_mode.or(defaults.dp_mode).unwrap_or_default();
     if backend == Backend::Dp && ceiling.is_some() {
         return Err(ctx(
             "backend = \"dp\" cannot model 'guess_move_ceiling' (the exact DP has no \
@@ -435,7 +430,6 @@ fn expand_cell(
                             }
                         },
                         backend,
-                        dp_mode,
                         population: Vec::new(),
                     };
                     let dist = planned.dist();
@@ -827,24 +821,6 @@ population = [ { strategy = \"spiral\" } ]
 ";
         let e = WorkloadPlan::expand(&WorkloadSpec::parse(text).unwrap()).unwrap_err();
         assert!(e.message.contains("'spiral' is not Markovian"), "{e}");
-    }
-
-    #[test]
-    fn dp_mode_inherits_from_defaults_and_cells_override() {
-        let mk = |defaults_mode: &str, cell_mode: &str| {
-            format!(
-                "name = \"m\"\n[defaults]\ntrials = 2\nbackend = \"dp\"\n{defaults_mode}\
-                 [[cells]]\nname = \"c\"\nagents = 1\n{cell_mode}\
-                 target = {{ model = \"ball\", dist = 4 }}\n\
-                 population = [ {{ strategy = \"randomwalk\" }} ]\n"
-            )
-        };
-        assert_eq!(plan(&mk("", "")).cells[0].dp_mode, DpMode::Auto);
-        assert_eq!(plan(&mk("dp_mode = \"sparse\"\n", "")).cells[0].dp_mode, DpMode::Sparse);
-        assert_eq!(
-            plan(&mk("dp_mode = \"sparse\"\n", "dp_mode = \"dense\"\n")).cells[0].dp_mode,
-            DpMode::Dense
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::toml;
 use crate::zoo::ZooStrategy;
 use crate::WorkloadError;
-use ants_dp::{Backend, DpMode};
+use ants_dp::Backend;
 use ants_sim::json::Json;
 use ants_sim::{Metric, MetricSet};
 
@@ -34,9 +34,6 @@ pub struct Defaults {
     /// Evaluation backend (`"mc"` Monte Carlo sampling, `"dp"` exact
     /// dynamic programming; default `"mc"`).
     pub backend: Option<Backend>,
-    /// Exact-backend table representation (`"dense"`, `"sparse"`, or
-    /// `"auto"`; default `"auto"`). Ignored by `"mc"` cells.
-    pub dp_mode: Option<DpMode>,
 }
 
 /// A target model as declared in a spec.
@@ -163,9 +160,6 @@ pub struct CellSpec {
     /// requires every population entry to be Markovian — validated at
     /// expansion time).
     pub backend: Option<Backend>,
-    /// Exact-backend table representation for this cell (overrides the
-    /// default).
-    pub dp_mode: Option<DpMode>,
     /// The target model (required here or via a `target` sweep axis).
     pub target: Option<TargetSpec>,
     /// The weighted strategy population (at least one entry).
@@ -379,31 +373,10 @@ fn parse_backend(v: &Json, context: &str) -> Result<Option<Backend>, WorkloadErr
         .transpose()
 }
 
-/// Parse an optional `dp_mode = "dense" | "sparse" | "auto"` key.
-fn parse_dp_mode(v: &Json, context: &str) -> Result<Option<DpMode>, WorkloadError> {
-    v.get("dp_mode")
-        .map(|m| {
-            let ctx = format!("{context}.dp_mode");
-            let name = as_str(m, &ctx)?;
-            DpMode::parse(name).ok_or_else(|| {
-                err(ctx, format!("unknown dp_mode '{name}' (allowed: dense, sparse, auto)"))
-            })
-        })
-        .transpose()
-}
-
 fn parse_defaults(v: &Json, context: &str) -> Result<Defaults, WorkloadError> {
     check_keys(
         v,
-        &[
-            "trials",
-            "smoke_trials",
-            "move_budget",
-            "guess_move_ceiling",
-            "seed",
-            "backend",
-            "dp_mode",
-        ],
+        &["trials", "smoke_trials", "move_budget", "guess_move_ceiling", "seed", "backend"],
         context,
     )?;
     let field = |key: &str| -> Result<Option<u64>, WorkloadError> {
@@ -416,7 +389,6 @@ fn parse_defaults(v: &Json, context: &str) -> Result<Defaults, WorkloadError> {
         guess_move_ceiling: field("guess_move_ceiling")?,
         seed: field("seed")?,
         backend: parse_backend(v, context)?,
-        dp_mode: parse_dp_mode(v, context)?,
     })
 }
 
@@ -432,7 +404,6 @@ fn parse_cell(v: &Json, context: &str) -> Result<CellSpec, WorkloadError> {
             "guess_move_ceiling",
             "seed",
             "backend",
-            "dp_mode",
             "target",
             "population",
             "sweep",
@@ -469,7 +440,6 @@ fn parse_cell(v: &Json, context: &str) -> Result<CellSpec, WorkloadError> {
         guess_move_ceiling: field("guess_move_ceiling")?,
         seed: field("seed")?,
         backend: parse_backend(v, context)?,
-        dp_mode: parse_dp_mode(v, context)?,
         target,
         population,
         sweep,
@@ -555,9 +525,6 @@ impl WorkloadSpec {
             if let Some(b) = d.backend {
                 out.push_str(&format!("backend = \"{b}\"\n"));
             }
-            if let Some(m) = d.dp_mode {
-                out.push_str(&format!("dp_mode = \"{m}\"\n"));
-            }
         }
         for cell in &self.cells {
             out.push_str("\n[[cells]]\n");
@@ -576,9 +543,6 @@ impl WorkloadSpec {
             }
             if let Some(b) = cell.backend {
                 out.push_str(&format!("backend = \"{b}\"\n"));
-            }
-            if let Some(m) = cell.dp_mode {
-                out.push_str(&format!("dp_mode = \"{m}\"\n"));
             }
             if let Some(t) = cell.target {
                 out.push_str(&format!("target = {}\n", t.to_inline_toml()));
@@ -799,34 +763,27 @@ population = [ { strategy = \"randomwalk\" } ]
     }
 
     #[test]
-    fn dp_mode_key_parses_defaults_cells_and_round_trips() {
-        let text = "\
+    fn dp_mode_key_is_rejected_as_unknown() {
+        // The exact backend picks its table representation itself; a
+        // spec still carrying the removed key fails by name, in either
+        // section.
+        let cell = "\
 name = \"x\"
-
-[defaults]
-backend = \"dp\"
-dp_mode = \"sparse\"
 
 [[cells]]
 name = \"c\"
 agents = 2
-dp_mode = \"dense\"
+dp_mode = \"sparse\"
 target = { model = \"ball\", dist = 4 }
 population = [ { strategy = \"randomwalk\" } ]
 ";
-        let spec = WorkloadSpec::parse(text).unwrap();
-        assert_eq!(spec.defaults.dp_mode, Some(DpMode::Sparse));
-        assert_eq!(spec.cells[0].dp_mode, Some(DpMode::Dense));
-        assert_eq!(WorkloadSpec::parse(&spec.to_toml()).unwrap(), spec);
-        // Absent key = None (the Auto default applies downstream).
-        assert_eq!(WorkloadSpec::parse(MINIMAL).unwrap().defaults.dp_mode, None);
-        assert_eq!(WorkloadSpec::parse(MINIMAL).unwrap().cells[0].dp_mode, None);
-        // Unknown names fail with the allowed list and the spec path.
-        let bad = text.replace("dp_mode = \"dense\"", "dp_mode = \"hashed\"");
-        let e = WorkloadSpec::parse(&bad).unwrap_err();
-        assert!(e.to_string().contains("unknown dp_mode 'hashed'"), "{e}");
-        assert!(e.to_string().contains("cells[0].dp_mode"), "{e}");
-        assert!(e.to_string().contains("dense, sparse, auto"), "{e}");
+        let e = WorkloadSpec::parse(cell).unwrap_err();
+        assert!(e.to_string().contains("unknown key 'dp_mode'"), "{e}");
+        assert!(e.to_string().contains("cells[0]"), "{e}");
+        let defaults = "name = \"x\"\n\n[defaults]\ndp_mode = \"dense\"\n";
+        let e = WorkloadSpec::parse(defaults).unwrap_err();
+        assert!(e.to_string().contains("unknown key 'dp_mode'"), "{e}");
+        assert!(e.to_string().contains("defaults"), "{e}");
     }
 
     #[test]

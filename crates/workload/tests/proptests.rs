@@ -75,7 +75,6 @@ fn build_cell(
         // a "dp" cell would (correctly) refuse. The backend round-trip
         // is pinned by the spec unit tests instead.
         backend: i.is_multiple_of(3).then_some(ants_dp::Backend::Mc),
-        dp_mode: i.is_multiple_of(4).then_some(ants_dp::DpMode::Sparse),
         target: Some(target),
         population: pop
             .iter()
@@ -148,7 +147,6 @@ proptest! {
                 guess_move_ceiling: None,
                 seed: Some(seed),
                 backend: None,
-                dp_mode: (seed % 5 == 0).then_some(ants_dp::DpMode::Auto),
             },
             cells,
         };
