@@ -43,7 +43,10 @@ use crate::collapse::{collapse, CollapsedKernel};
 use crate::error::DpError;
 use crate::kernel::{kernel_fingerprint, MarkovKernel, TableKernel};
 use crate::rounds::{chi_support, step_absorption_cdf, visit_survival_curve};
+use crate::symmetry::{orbit_representative, symmetries};
 use ants_grid::{Point, Rect, TargetPlacement};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One population entry: a weighted kernel.
@@ -102,13 +105,15 @@ pub struct DpRequest {
 
 /// A cross-cell cache for solved DP curves.
 ///
-/// The exact backend solves one curve per `(kernel, point, clock)`;
-/// sweeps re-solve the same curves cell after cell whenever only
-/// the agent count or trial count varies. Implementations (the workload
-/// layer's `DpMemo`) store the solved curves keyed by a string that
-/// starts from [`kernel_fingerprint`], so a hit is guaranteed to return
-/// exactly the bytes a fresh solve would produce — memoization can never
-/// change a report.
+/// The exact backend solves one curve per `(kernel, point orbit,
+/// clock)`, the orbit taken under the kernel's verified grid
+/// symmetries ([`crate::symmetries`]); sweeps re-solve the same curves
+/// cell after cell whenever only the agent count or trial count
+/// varies. Implementations (the workload layer's `DpMemo`) store the
+/// solved curves keyed by a string that starts from
+/// [`kernel_fingerprint`], so a hit is guaranteed to return exactly the
+/// bytes a fresh solve would produce — memoization can never change a
+/// report.
 pub trait SolveCache {
     /// Look up a previously stored curve.
     fn get(&self, key: &str) -> Option<Arc<Vec<f64>>>;
@@ -243,23 +248,19 @@ fn collapsed_of<'a>(
     Ok(slot.as_ref().expect("just filled"))
 }
 
-/// Look `key` up in `cache` (when present), solving and storing on a
-/// miss. The returned `Arc` is exactly the fresh solve's output, so a
-/// hit can never change a report.
+/// Look `key` up in `cache`, solving and storing on a miss. The
+/// returned `Arc` is exactly the fresh solve's output, so a hit can
+/// never change a report.
 fn cached_curve(
-    cache: Option<&dyn SolveCache>,
+    cache: &dyn SolveCache,
     key: &str,
     solve: impl FnOnce() -> Result<Vec<f64>, DpError>,
 ) -> Result<Arc<Vec<f64>>, DpError> {
-    if let Some(c) = cache {
-        if let Some(hit) = c.get(key) {
-            return Ok(hit);
-        }
+    if let Some(hit) = cache.get(key) {
+        return Ok(hit);
     }
     let curve = Arc::new(solve()?);
-    if let Some(c) = cache {
-        c.put(key, Arc::clone(&curve));
-    }
+    cache.put(key, Arc::clone(&curve));
     Ok(curve)
 }
 
@@ -330,7 +331,9 @@ impl CurveUnit {
         self.kind
     }
 
-    /// The target or bounds cell the curve is solved against.
+    /// The point the curve is solved against: the lexicographic
+    /// maximum of the target's or bounds cell's orbit under the kernel's
+    /// verified symmetries ([`crate::symmetries`]).
     pub fn point(&self) -> Point {
         self.point
     }
@@ -386,8 +389,15 @@ fn metric_guard(req: &DpRequest, metrics: &DpMetrics) -> Result<(), DpError> {
 /// order [`combine`] reads them — per target every strategy's
 /// absorption curve; then, when survival metrics are on, per bounds
 /// cell every strategy's survival curve; then, for `found_round`, per
-/// target every strategy's found-round curve. Keys may repeat (a
-/// population listing one kernel twice).
+/// target every strategy's found-round curve.
+///
+/// Each unit is listed at the representative of its point's orbit
+/// under the group its kernel's verified reflections generate
+/// ([`crate::symmetries`], computed once per population entry): the
+/// kernel's law is invariant under them, so the curve at `t` equals the
+/// curve at any reflection of `t`. Keys therefore repeat — across orbit
+/// mates, and for a population listing one kernel twice. A kernel with
+/// no verified symmetry lists every point as itself.
 ///
 /// A cell whose survival sweep trips the metric-work guard lists its
 /// absorption curves only: [`combine`] reports the guard after reading
@@ -399,8 +409,11 @@ fn metric_guard(req: &DpRequest, metrics: &DpMetrics) -> Result<(), DpError> {
 pub fn curve_units(req: &DpRequest) -> Result<Vec<CurveUnit>, DpError> {
     validate(req)?;
     let fps: Vec<u128> = req.population.iter().map(|s| kernel_fingerprint(&s.kernel)).collect();
+    let mirrors: Vec<_> = req.population.iter().map(|s| symmetries(&s.kernel)).collect();
     let per_point = |kind: CurveKind, point: Point, clock: u64| {
-        fps.iter().enumerate().map(move |(si, &fp)| CurveUnit::new(kind, si, fp, point, clock))
+        fps.iter().zip(&mirrors).enumerate().map(move |(si, (&fp, mirrors))| {
+            CurveUnit::new(kind, si, fp, orbit_representative(mirrors, point), clock)
+        })
     };
     let mut units: Vec<CurveUnit> = req
         .targets
@@ -465,8 +478,9 @@ pub fn evaluate(req: &DpRequest) -> Result<DpCellReport, DpError> {
 /// [`evaluate`] with an optional cross-cell curve cache: every
 /// absorption, survival, and found-round curve is looked up before
 /// solving and stored after solving. Cache keys start from
-/// [`kernel_fingerprint`], so two cells sharing a strategy, a point,
-/// and a clock share the solve — byte-identically.
+/// [`kernel_fingerprint`], so two cells sharing a strategy, a point
+/// orbit, and a clock share the solve — byte-identically. Without a
+/// cache, a cell still solves each of its distinct keys once.
 ///
 /// This is the one-cell, one-thread composition of the three steps
 /// ([`curve_units`], [`solve_unit`], [`combine`]); a host evaluating
@@ -480,6 +494,8 @@ pub fn evaluate_with(
     cache: Option<&dyn SolveCache>,
 ) -> Result<DpCellReport, DpError> {
     let units = curve_units(req)?;
+    let local = LocalCache::default();
+    let cache = cache.unwrap_or(&local);
     // Per strategy, collapse once (lazily — a fully memoized cell skips
     // it).
     let mut collapsed: Vec<Option<CollapsedKernel>> = req.population.iter().map(|_| None).collect();
@@ -490,6 +506,20 @@ pub fn evaluate_with(
             })
         })
     })
+}
+
+/// The one-cell cache [`evaluate_with`] uses when the caller gives none.
+#[derive(Default)]
+struct LocalCache(RefCell<HashMap<String, Arc<Vec<f64>>>>);
+
+impl SolveCache for LocalCache {
+    fn get(&self, key: &str) -> Option<Arc<Vec<f64>>> {
+        self.0.borrow().get(key).cloned()
+    }
+
+    fn put(&self, key: &str, value: Arc<Vec<f64>>) {
+        self.0.borrow_mut().insert(key.to_string(), value);
+    }
 }
 
 /// Step 3 of an evaluation: rebuild the cell's report from its solved

@@ -21,16 +21,26 @@
 //!
 //! ## Symmetry folding
 //!
-//! Every bundled kernel is axis-symmetric, and target placements put
-//! the target on an axis or diagonal often enough to exploit it: when a
-//! grid reflection `σ` fixes the target, fixes the origin, and leaves
-//! every kernel row invariant (as a multiset of `(next state, σ-mapped
-//! action, probability, reset)`), the DP runs on the quotient chain —
-//! each stored entry carries the *total* mass of its `{p, σp}` orbit
-//! and scatters to canonical representatives only. That halves the
-//! frontier (minus the fixed axis) at the cost of last-ulp differences
-//! from the dense solve; agreement stays far inside the crate's 1e-9
-//! exactness tolerance (proptest-pinned in `tests/sparse_parity.rs`).
+//! Two different uses of the kernels' grid symmetries meet here; both
+//! rest on the one check in [`crate::symmetry`].
+//!
+//! * **In-solve folding** (this module): when a grid reflection `σ`
+//!   fixes the target and the origin, and leaves every reachable row
+//!   invariant with the state permutation `π` the identity (as a
+//!   multiset of `(next state, σ-mapped action, probability, reset)`),
+//!   one DP runs on the quotient chain — each stored entry carries the
+//!   *total* mass of its `{p, σp}` orbit and scatters to canonical
+//!   representatives only. That halves the frontier (minus the fixed
+//!   axis) at the cost of last-ulp differences from the dense solve;
+//!   agreement stays far inside the crate's 1e-9 exactness tolerance
+//!   (proptest-pinned in `tests/sparse_parity.rs`). The random walk and
+//!   its mortal wrapper fold; the square-search kernels, whose state
+//!   records the walk direction, never do.
+//! * **Cross-point orbit dedupe** ([`crate::curve_units`]): any `σ`
+//!   with *some* verified `π` — the square-search kernels qualify with
+//!   `π` swapping their direction blocks — makes the curves at `t` and
+//!   at `σt` equal, so the evaluator solves one curve per orbit of the
+//!   target and bounds points and never touches the solve itself.
 //!
 //! ## Accounting
 //!
@@ -47,87 +57,9 @@ use crate::absorb::AbsorptionCurve;
 use crate::collapse::CollapsedKernel;
 use crate::error::DpError;
 use crate::kernel::{MarkovKernel, PositionClass};
+use crate::symmetry::{Chain, Mirror};
 use ants_automaton::GridAction;
-use ants_grid::{Direction, Point};
-
-/// A grid reflection through the origin that the folded DP can quotient
-/// by. Each fixes the origin; legality against a given target/kernel is
-/// decided by [`mirror_for`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mirror {
-    /// `(x, y) → (x, −y)` — legal when the target sits on the x-axis.
-    NegY,
-    /// `(x, y) → (−x, y)` — legal when the target sits on the y-axis.
-    NegX,
-    /// `(x, y) → (y, x)` — legal when the target sits on the diagonal.
-    Swap,
-    /// `(x, y) → (−y, −x)` — legal when the target sits on the
-    /// anti-diagonal.
-    AntiSwap,
-}
-
-impl Mirror {
-    /// Apply the reflection to a point.
-    fn map(self, x: i64, y: i64) -> (i64, i64) {
-        match self {
-            Mirror::NegY => (x, -y),
-            Mirror::NegX => (-x, y),
-            Mirror::Swap => (y, x),
-            Mirror::AntiSwap => (-y, -x),
-        }
-    }
-
-    /// Apply the reflection to a move direction.
-    fn map_dir(self, d: Direction) -> Direction {
-        match (self, d) {
-            (Mirror::NegY, Direction::Up) => Direction::Down,
-            (Mirror::NegY, Direction::Down) => Direction::Up,
-            (Mirror::NegY, d) => d,
-            (Mirror::NegX, Direction::Left) => Direction::Right,
-            (Mirror::NegX, Direction::Right) => Direction::Left,
-            (Mirror::NegX, d) => d,
-            (Mirror::Swap, Direction::Up) => Direction::Right,
-            (Mirror::Swap, Direction::Right) => Direction::Up,
-            (Mirror::Swap, Direction::Down) => Direction::Left,
-            (Mirror::Swap, Direction::Left) => Direction::Down,
-            (Mirror::AntiSwap, Direction::Up) => Direction::Left,
-            (Mirror::AntiSwap, Direction::Left) => Direction::Up,
-            (Mirror::AntiSwap, Direction::Down) => Direction::Right,
-            (Mirror::AntiSwap, Direction::Right) => Direction::Down,
-        }
-    }
-
-    /// Is `(x, y)` the orbit's canonical representative?
-    #[inline]
-    fn canonical(self, x: i64, y: i64) -> bool {
-        match self {
-            Mirror::NegY => y >= 0,
-            Mirror::NegX => x >= 0,
-            Mirror::Swap => x >= y,
-            Mirror::AntiSwap => x + y >= 0,
-        }
-    }
-
-    /// The canonical representative of `(x, y)`'s orbit.
-    #[inline]
-    fn canon(self, x: i64, y: i64) -> (i64, i64) {
-        if self.canonical(x, y) {
-            (x, y)
-        } else {
-            self.map(x, y)
-        }
-    }
-}
-
-/// A stable ordinal for sorting directions inside invariance checks.
-fn dir_code(d: Direction) -> u8 {
-    match d {
-        Direction::Up => 0,
-        Direction::Down => 1,
-        Direction::Left => 2,
-        Direction::Right => 3,
-    }
-}
+use ants_grid::Point;
 
 /// The first reflection that fixes `target` (the origin is fixed by
 /// all four). `None` for off-axis, off-diagonal targets.
@@ -143,57 +75,6 @@ fn mirror_for(target: Point) -> Option<Mirror> {
     } else {
         None
     }
-}
-
-/// Is every collapsed row invariant under `m` as a multiset of
-/// `(next, σ(dir), prob, reset)`? Reset exits teleport to the absolute
-/// point `dir.delta()`, which `σ` maps exactly like a move, so one
-/// check covers both exit kinds.
-fn collapsed_invariant(c: &CollapsedKernel, m: Mirror) -> bool {
-    for row in &c.rows {
-        let mut plain: Vec<(usize, u8, u64, bool)> = Vec::with_capacity(row.exits.len());
-        let mut mapped: Vec<(usize, u8, u64, bool)> = Vec::with_capacity(row.exits.len());
-        for &(e, p) in &row.exits {
-            let exit = c.exits[e as usize];
-            plain.push((exit.next, dir_code(exit.dir), p.to_bits(), exit.reset));
-            mapped.push((exit.next, dir_code(m.map_dir(exit.dir)), p.to_bits(), exit.reset));
-        }
-        plain.sort_unstable();
-        mapped.sort_unstable();
-        if plain != mapped {
-            return false;
-        }
-    }
-    true
-}
-
-/// Is every raw kernel row invariant under `m`? `None`/`Origin` actions
-/// are position-free and map to themselves; `Move(dir)` maps through
-/// `σ`. Only the `Away` rows matter — they are the rows the step DP
-/// propagates.
-fn kernel_invariant(k: &dyn MarkovKernel, m: Mirror) -> bool {
-    for s in 0..k.num_states() {
-        let row = k.row(s, PositionClass::Away);
-        let code = |a: GridAction, mirrored: bool| -> (u8, u8) {
-            match a {
-                GridAction::Move(d) => (0, dir_code(if mirrored { m.map_dir(d) } else { d })),
-                GridAction::None => (1, 0),
-                GridAction::Origin => (2, 0),
-            }
-        };
-        let mut plain: Vec<(usize, (u8, u8), u64)> = Vec::with_capacity(row.len());
-        let mut mapped: Vec<(usize, (u8, u8), u64)> = Vec::with_capacity(row.len());
-        for t in row {
-            plain.push((t.next, code(t.action, false), t.prob.to_bits()));
-            mapped.push((t.next, code(t.action, true), t.prob.to_bits()));
-        }
-        plain.sort_unstable();
-        mapped.sort_unstable();
-        if plain != mapped {
-            return false;
-        }
-    }
-    true
 }
 
 /// Statistics of one sparse solve, for `ants profile` narration and the
@@ -308,7 +189,7 @@ pub fn sparse_absorption_cdf_stats(
     let states = collapsed.rows.len();
     check_shape(label, states, budget, "move budget")?;
     let span = budget as i64;
-    let mirror = mirror_for(target).filter(|&m| collapsed_invariant(collapsed, m));
+    let mirror = mirror_for(target).filter(|&m| Chain::of_collapsed(collapsed).fixed_by(m));
     let canon = |x: i64, y: i64| -> (i64, i64) {
         match mirror {
             Some(m) => m.canon(x, y),
@@ -435,7 +316,7 @@ pub fn sparse_first_landing_cdf(
     let states = kernel.num_states();
     check_shape(label, states, horizon, "horizon")?;
     let span = horizon as i64;
-    let mirror = mirror_for(point).filter(|&m| kernel_invariant(kernel, m));
+    let mirror = mirror_for(point).filter(|&m| Chain::of_kernel(kernel).fixed_by(m));
     let canon = |x: i64, y: i64| -> (i64, i64) {
         match mirror {
             Some(m) => m.canon(x, y),

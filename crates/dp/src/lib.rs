@@ -35,6 +35,10 @@
 //!   [`curve_units`] lists the curves, [`solve_unit`] solves one,
 //!   [`combine`] rebuilds the report — so a host can solve the curves
 //!   of many cells on its own thread pool.
+//! * [`symmetries`] — the grid reflections a kernel's law is invariant
+//!   under, each verified by a state-permutation search; [`curve_units`]
+//!   lists every curve at its point's orbit representative, so orbit
+//!   mates share one solve.
 //!
 //! Exactness contract: all kernel probabilities are dyadic rationals
 //! representable in `f64`; the DP's only approximations are (a) f64
@@ -54,6 +58,7 @@ mod eval;
 mod frontier;
 mod kernel;
 mod rounds;
+mod symmetry;
 
 pub use absorb::{absorption_cdf, dense_absorption_cdf, AbsorptionCurve};
 pub use collapse::{collapse, CollapsedKernel, CollapsedRow, MoveExit};
@@ -71,6 +76,7 @@ pub use kernel::{
     UNIFORM_PHASE_CAP,
 };
 pub use rounds::{chi_support, dense_first_landing_cdf, step_absorption_cdf, visit_survival_curve};
+pub use symmetry::{symmetries, Mirror};
 
 /// Backend selector surfaced through workload specs and the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -9,7 +9,8 @@ use crate::plan::PlannedCell;
 use crate::WorkloadError;
 use ants_dp::{
     collapse, combine, curve_units, evaluate_with, solve_unit, target_support, CollapsedKernel,
-    CurveKind, CurveUnit, DpCellReport, DpError, DpMetrics, DpRequest, DpStrategy, SolveCache,
+    CurveKind, CurveUnit, DpCellReport, DpError, DpMetrics, DpRequest, DpStrategy, MarkovKernel,
+    SolveCache,
 };
 use ants_sim::{map_units, Metric, MetricSet, SweepOptions};
 use std::collections::HashMap;
@@ -161,6 +162,16 @@ fn cell_error(cell: &PlannedCell, e: &DpError) -> WorkloadError {
     WorkloadError { context: format!("cell '{}'", cell.label), message: e.to_string() }
 }
 
+/// A curve's predicted solve work, `states × (2·clock + 1)² × clock`:
+/// the dense table's size times its step count (saturating, for clocks
+/// no guard would let through anyway).
+fn predicted_work(req: &DpRequest, unit: &CurveUnit) -> u128 {
+    let states = req.population[unit.strategy()].kernel.num_states() as u128;
+    let clock = u128::from(unit.clock());
+    let width = (2 * clock + 1).saturating_mul(2 * clock + 1);
+    states.saturating_mul(width).saturating_mul(clock)
+}
+
 /// Where a wave finds a curve: already in the memo, or at an index of
 /// the wave's solve list.
 enum Curve {
@@ -172,9 +183,9 @@ enum Curve {
 ///
 /// Each cell is split into its curves ([`curve_units`]); curves are
 /// deduplicated across cells and against `memo`, every missing curve is
-/// solved once ([`solve_unit`]) with one pool claim per curve
-/// ([`map_units`], so only `opts.threads` and `opts.telemetry` apply),
-/// and each cell's report is rebuilt from its curves ([`combine`]) in
+/// solved once ([`solve_unit`]) with one pool claim per curve,
+/// costliest first ([`map_units`], so only `opts.threads` and
+/// `opts.telemetry` apply), and each cell's report is rebuilt from its curves ([`combine`]) in
 /// cell order. Each distinct kernel is collapsed at most once per wave.
 /// Reports and memo contents are byte-identical to evaluating the cells
 /// one by one through [`evaluate_cell_with`] with the same memo, at
@@ -231,7 +242,13 @@ pub fn evaluate_cells(
             collapses.entry(unit.fingerprint()).or_default();
         }
     }
-    let solved: Vec<Result<Arc<Vec<f64>>, DpError>> = map_units(&todo, opts, |&(req, unit)| {
+    // Claim the costliest curves first, so the heaviest solve never
+    // starts last and holds up the wave's tail; results go back to
+    // `todo` order, so nothing downstream sees the claim order.
+    let mut order: Vec<usize> = (0..todo.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(predicted_work(todo[i].0, todo[i].1)));
+    let claimed: Vec<Result<Arc<Vec<f64>>, DpError>> = map_units(&order, opts, |&i| {
+        let (req, unit) = todo[i];
         solve_unit(req, unit, || {
             collapses[&unit.fingerprint()]
                 .get_or_init(|| collapse(&req.population[unit.strategy()].kernel))
@@ -240,6 +257,10 @@ pub fn evaluate_cells(
         })
         .map(Arc::new)
     });
+    let mut claimed: Vec<(usize, _)> = order.into_iter().zip(claimed).collect();
+    claimed.sort_by_key(|&(i, _)| i);
+    let solved: Vec<Result<Arc<Vec<f64>>, DpError>> =
+        claimed.into_iter().map(|(_, curve)| curve).collect();
     for ((_, unit), curve) in todo.iter().zip(&solved) {
         if let Ok(curve) = curve {
             memo.put(unit.key(), Arc::clone(curve));
