@@ -73,8 +73,7 @@ impl Experiment for E10RandomWalk {
             vec!["n", "D", "median moves", "speed-up", "ln n ceiling", "optimal (min{n, D})"],
         );
         report.param("D", d).param("trials", trials);
-        // n = 1 is the speed-up baseline; reuse its outcome when it is
-        // also the first sweep point.
+        // n = 1 is the speed-up baseline, swept like every other n.
         let base_seed = cfg.seed(0xE10_001);
         let jobs: Vec<SweepJob> = n_values(cfg.effort)
             .iter()
@@ -84,10 +83,11 @@ impl Experiment for E10RandomWalk {
             })
             .collect();
         let outcomes = run_sweep_with(&jobs, &cfg.sweep_options());
-        let t1 = match n_values(cfg.effort).iter().position(|&n| n == 1) {
-            Some(i) => outcomes[i].summary().median_moves(),
-            None => median_moves(d, 1, trials, base_seed),
-        };
+        let baseline = n_values(cfg.effort)
+            .iter()
+            .position(|&n| n == 1)
+            .expect("every effort level sweeps the n = 1 baseline");
+        let t1 = outcomes[baseline].summary().median_moves();
         for (&n, outcome) in n_values(cfg.effort).iter().zip(&outcomes) {
             let tn = outcome.summary().median_moves();
             report.row(vec![
@@ -117,6 +117,13 @@ mod tests {
         let sp = t1 / t16;
         assert!(sp < 13.0, "random-walk speed-up {sp} too close to linear");
         assert!(sp > 1.0, "more walkers should help at least a little: {sp}");
+    }
+
+    #[test]
+    fn every_effort_sweeps_the_n1_baseline() {
+        for effort in [Effort::Smoke, Effort::Standard] {
+            assert!(n_values(effort).contains(&1), "{effort:?} lacks the n = 1 baseline");
+        }
     }
 
     #[test]

@@ -6,18 +6,18 @@
 //! * `E[moves] < 2^{kℓ}`.
 //!
 //! Implements [`Experiment`]; the walk sampling is bespoke (no scenario
-//! engine), so it routes through [`ants_sim::map_indexed`] — the
-//! engine's agent-level scheduling primitive — instead of `run_sweep`:
-//! per-sample seeds are derived by index and the per-chunk results are
-//! reduced in canonical index order, so the histogram is byte-identical
-//! at every thread count. Each lemma check reports its measured value
-//! and its verdict in separate typed columns.
+//! engine), so it hands the sweep pool batches of sample indices through
+//! [`ants_sim::map_units`] instead of scenario jobs: per-sample seeds
+//! are derived by index and the batches come back in canonical index
+//! order, so the histogram is byte-identical at every thread count. Each
+//! lemma check reports its measured value and its verdict in separate
+//! typed columns.
 
 use super::{Effort, Experiment, ExperimentMeta, Report, RunConfig, SweepConfig};
 use ants_core::components::GeometricWalk;
 use ants_grid::Direction;
 use ants_rng::derive_rng;
-use ants_sim::map_indexed;
+use ants_sim::map_units;
 
 /// Identity and claim.
 pub const META: ExperimentMeta = ExperimentMeta {
@@ -36,6 +36,11 @@ fn cases(effort: Effort) -> &'static [(u32, u32)] {
 fn trials(effort: Effort) -> u64 {
     effort.pick(30_000, 300_000)
 }
+
+/// Walk samples per pool unit: large enough that claiming a unit costs
+/// nothing next to its walks, small enough to load-balance the standard
+/// run's 300 000 samples.
+const SAMPLE_BATCH: u64 = 1024;
 
 /// One full walk's move count.
 fn walk_length(k: u32, ell: u32, seed: u64) -> u64 {
@@ -86,17 +91,27 @@ impl Experiment for E4Walk {
             let mut counts = vec![0u64; bound as usize + 1];
             let mut total = 0u64;
             let mut tail = 0u64;
-            // Sample the walk lengths across the pool; the fold below is
-            // in canonical sample order (and commutative anyway), so the
-            // histogram is identical at every thread count.
-            let lengths = map_indexed(trials, &opts, |s| {
-                walk_length(
-                    k,
-                    ell,
-                    cfg.seed(0xE4_0000 ^ s ^ ((k as u64) << 40) ^ ((ell as u64) << 48)),
-                )
+            // Sample the walk lengths across the pool, one batch of
+            // sample indices per unit; the fold below is in canonical
+            // sample order (and commutative anyway), so the histogram is
+            // identical at every thread count.
+            let batches: Vec<std::ops::Range<u64>> = (0..trials)
+                .step_by(SAMPLE_BATCH as usize)
+                .map(|lo| lo..(lo + SAMPLE_BATCH).min(trials))
+                .collect();
+            let lengths = map_units(&batches, &opts, |batch| {
+                batch
+                    .clone()
+                    .map(|s| {
+                        walk_length(
+                            k,
+                            ell,
+                            cfg.seed(0xE4_0000 ^ s ^ ((k as u64) << 40) ^ ((ell as u64) << 48)),
+                        )
+                    })
+                    .collect::<Vec<u64>>()
             });
-            for m in lengths {
+            for m in lengths.into_iter().flatten() {
                 total += m;
                 if m >= bound {
                     tail += 1;

@@ -210,7 +210,7 @@ impl RunConfig {
     }
 
     /// The [`SweepOptions`] this config induces — what experiments hand
-    /// to [`ants_sim::run_sweep_with`] / [`ants_sim::map_indexed`].
+    /// to [`ants_sim::run_sweep_with`] / [`ants_sim::map_units`].
     pub fn sweep_options(&self) -> SweepOptions {
         let mut opts = SweepOptions::with_threads(self.threads).granularity(self.granularity);
         if let Some(chunk) = self.chunk {

@@ -173,9 +173,7 @@ fn wave_memo_counters_match_the_per_cell_path() {
         assert_eq!(t.counter(Counter::DpMemoHits), hits);
         assert_eq!(t.counter(Counter::DpSolves), exp.plan().cells.len() as u64);
         // Every solved curve is one pool claim; one span covers the wave.
-        if cfg!(feature = "parallel") {
-            assert_eq!(t.counter(Counter::PoolUnits), distinct);
-        }
+        assert_eq!(t.counter(Counter::PoolUnits), distinct);
         assert_eq!(t.snapshot().phase_count[Phase::DpSolve as usize], 1);
 
         // A warm rerun solves nothing: every lookup hits.

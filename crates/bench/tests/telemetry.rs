@@ -35,8 +35,8 @@ fn telemetry_never_changes_report_bytes() {
 }
 
 /// The same identity across the full scheduling matrix: threads {1, 4}
-/// × granularity {trial, agent}. Whatever the pool does — serial
-/// fallback, trial units, chunked agents with cap hints — the observed
+/// × granularity {trial, agent}. Whatever the pool does — one inline
+/// worker, trial units, chunked agents with cap hints — the observed
 /// run's bytes match the unobserved reference.
 #[test]
 fn telemetry_is_invariant_across_schedulers() {
@@ -58,30 +58,52 @@ fn telemetry_is_invariant_across_schedulers() {
     }
 }
 
-/// The handle attached through [`RunConfig`] really observes the sweep:
-/// pool units, engine steps, and phase spans are all nonzero after a
-/// parallel agent-granularity run (and steals appear at 4 threads,
-/// where the cursor rebalances work off its static home).
-#[cfg(feature = "parallel")]
+/// The handle attached through [`RunConfig`] really observes the sweep
+/// at every thread count: pool units, engine steps, and phase spans are
+/// all nonzero after a parallel agent-granularity run and after a
+/// one-worker auto run (one worker drains the same pool inline, and
+/// under auto it plans whole-trial units). Trial units never speculate
+/// (each runs its agents in serial cap order), so under forced trial
+/// granularity the engine-step count is identical at 1, 2 and 4
+/// threads.
 #[test]
 fn attached_telemetry_observes_the_sweep() {
-    let tele = Telemetry::new();
-    let cfg = RunConfig::smoke()
-        .with_threads(Some(4))
-        .with_granularity(Granularity::Agent)
-        .with_chunk(Some(3))
-        .with_telemetry(Some(tele));
-    chi_zoo().run(&cfg);
-    let snap = tele.snapshot();
-    assert!(snap.counter(Counter::PoolUnits) > 0, "no units counted");
-    assert!(snap.counter(Counter::EngineSteps) > 0, "no engine steps counted");
-    assert!(snap.counter(Counter::HintPolls) > 0, "no cap-hint polls counted");
-    assert!(snap.phase_total_ns(Phase::Execute) > 0, "no execute span recorded");
-    assert_eq!(
-        snap.counter(Counter::PoolUnits),
-        snap.worker_units.iter().sum::<u64>(),
-        "per-worker shards must sum to the total"
-    );
-    assert!(!snap.plans.is_empty(), "no plan decisions recorded");
-    assert!(snap.plans.iter().all(|p| p.granularity == "agent"), "forced granularity not echoed");
+    let mut trial_steps = Vec::new();
+    for (threads, granularity) in [
+        (4usize, Granularity::Agent),
+        (1, Granularity::Auto),
+        (1, Granularity::Trial),
+        (2, Granularity::Trial),
+        (4, Granularity::Trial),
+    ] {
+        let tele = Telemetry::new();
+        let cfg = RunConfig::smoke()
+            .with_threads(Some(threads))
+            .with_granularity(granularity)
+            .with_chunk(Some(3))
+            .with_telemetry(Some(tele));
+        chi_zoo().run(&cfg);
+        let snap = tele.snapshot();
+        let at = format!("threads {threads}, {granularity:?}");
+        assert!(snap.counter(Counter::PoolUnits) > 0, "no units counted at {at}");
+        assert!(snap.counter(Counter::EngineSteps) > 0, "no engine steps counted at {at}");
+        assert!(snap.phase_count[Phase::Execute as usize] > 0, "no execute span at {at}");
+        assert!(snap.phase_total_ns(Phase::Execute) > 0, "no execute time recorded at {at}");
+        assert_eq!(
+            snap.counter(Counter::PoolUnits),
+            snap.worker_units.iter().sum::<u64>(),
+            "per-worker shards must sum to the total at {at}"
+        );
+        assert!(!snap.plans.is_empty(), "no plan decisions recorded at {at}");
+        let echoed = if granularity == Granularity::Agent { "agent" } else { "trial" };
+        assert!(snap.plans.iter().all(|p| p.granularity == echoed), "plan not echoed at {at}");
+        match granularity {
+            Granularity::Agent => {
+                assert!(snap.counter(Counter::HintPolls) > 0, "no cap-hint polls at {at}");
+            }
+            Granularity::Trial => trial_steps.push(snap.counter(Counter::EngineSteps)),
+            Granularity::Auto => {}
+        }
+    }
+    assert_eq!(trial_steps, vec![trial_steps[0]; 3], "trial-unit engine steps moved with threads");
 }

@@ -33,6 +33,7 @@
 //!   drift.
 
 use ants_sim::json::Json;
+use ants_workload::Fnv128;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -164,22 +165,14 @@ fn snapshot_id(commit: Option<&str>, reports: &[(String, String)]) -> Result<Str
         }
         return Err(format!("commit id '{c}' is not a safe directory name (use [A-Za-z0-9._-])"));
     }
-    // FNV-1a over (name, contents) pairs in sorted name order: stable
-    // across platforms, no dependencies, good enough to address content.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    // FNV-1a-128 over (name, contents) fields in sorted name order: the
+    // workspace's one content hash, stable across platforms.
+    let mut hash = Fnv128::new();
     for (name, text) in reports {
-        fold(name.as_bytes());
-        fold(&[0]);
-        fold(text.as_bytes());
-        fold(&[0]);
+        hash.field(name);
+        hash.field(text);
     }
-    Ok(format!("content-{hash:016x}"))
+    Ok(format!("content-{}", hash.finish_hex()))
 }
 
 /// `ants trend --record <dest>`: copy every `*.json` report from

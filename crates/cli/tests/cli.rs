@@ -450,6 +450,12 @@ fn trend_record_snapshots_reports() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(stdout.contains("history/content-"), "stdout: {stdout}");
+    let name = stdout.trim_end().rsplit('/').next().unwrap_or_default();
+    let digest = name.strip_prefix("content-").unwrap_or_default();
+    assert!(
+        digest.len() == 32 && digest.bytes().all(|b| b.is_ascii_hexdigit()),
+        "snapshot name {name} is not content-<32 hex>"
+    );
     let out2 = ants(&["trend", "--record", "history"], &cwd);
     assert_eq!(String::from_utf8_lossy(&out2.stdout), stdout, "content addressing must be stable");
 

@@ -66,9 +66,8 @@ pub struct Stats {
     pub hits: u64,
     /// Submissions computed on the pool.
     pub misses: u64,
-    /// Cumulative agent steps the sweep pool executed (probe-counted;
-    /// stays 0 without the `parallel` feature, where the probe hooks
-    /// compile out).
+    /// Cumulative agent steps the sweep pool executed (probe-counted at
+    /// every thread count).
     pub pool_work: u64,
     /// Cache entries on disk.
     pub entries: u64,

@@ -602,8 +602,8 @@ pub fn run_trial(scenario: &Scenario, trial_seed: u64) -> TrialResult {
 ///
 /// Pre-deriving all seeds from a [`SplitMix64`] stream is the determinism
 /// contract: the result of `run_trials` is a pure function of
-/// `(scenario, n_trials, base_seed)`, independent of thread count, build
-/// features, or scheduling.
+/// `(scenario, n_trials, base_seed)`, independent of thread count or
+/// scheduling.
 pub(crate) fn trial_seeds(n_trials: u64, base_seed: u64) -> Vec<u64> {
     let mut seed_mixer = SplitMix64::new(base_seed);
     (0..n_trials).map(|_| seed_mixer.next_u64()).collect()
@@ -613,71 +613,25 @@ pub(crate) fn trial_seeds(n_trials: u64, base_seed: u64) -> Vec<u64> {
 ///
 /// This is the reference implementation `run_trials` and
 /// [`crate::sched::run_sweep_with`] must agree with byte-for-byte; the
-/// golden determinism test compares them.
+/// golden and determinism batteries compare them. No production path
+/// calls it.
 pub fn run_trials_serial(scenario: &Scenario, n_trials: u64, base_seed: u64) -> Outcome {
     let trials = trial_seeds(n_trials, base_seed).iter().map(|&s| run_trial(scenario, s)).collect();
     Outcome::new(trials)
 }
 
-/// Resolve a thread policy to a concrete count.
-///
-/// `None` means "all available cores"; explicit counts are honoured as
-/// given (an oversubscribed count is allowed — useful for benchmarking
-/// the scheduling overhead). Both are clamped to `1..=64`.
-#[cfg(feature = "parallel")]
-pub(crate) fn resolve_threads(threads: Option<usize>) -> usize {
-    threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-        .clamp(1, 64)
-}
-
 /// Run `n_trials` independent trials with deterministic per-trial seeds
 /// derived from `base_seed`.
 ///
-/// With the default-on `parallel` feature the trials are spread across the
-/// machine's cores (`std::thread::scope`; chunked, results re-assembled in
-/// seed order), so the outcome is byte-identical to
+/// The trials are drained across the machine's cores as one
+/// [`map_units`](crate::map_units) unit per trial seed, results
+/// re-assembled in seed order, so the outcome is byte-identical to
 /// [`run_trials_serial`] — parallelism changes wall-clock time only.
 pub fn run_trials(scenario: &Scenario, n_trials: u64, base_seed: u64) -> Outcome {
-    run_trials_with(scenario, n_trials, base_seed, None)
-}
-
-/// [`run_trials`] with an explicit thread policy: `Some(k)` pins the
-/// worker count, `None` uses all available cores.
-///
-/// The result is byte-identical across all thread policies (per-trial
-/// seeds are pre-derived); without the `parallel` feature the policy is
-/// ignored and the run is serial.
-pub fn run_trials_with(
-    scenario: &Scenario,
-    n_trials: u64,
-    base_seed: u64,
-    threads: Option<usize>,
-) -> Outcome {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = resolve_threads(threads);
-        if threads > 1 && n_trials >= 4 {
-            let seeds = trial_seeds(n_trials, base_seed);
-            let chunk_len = n_trials.div_ceil(threads as u64) as usize;
-            let chunks: Vec<&[u64]> = seeds.chunks(chunk_len).collect();
-            let results: Vec<Vec<TrialResult>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk.iter().map(|&s| run_trial(scenario, s)).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("trial worker panicked")).collect()
-            });
-            return Outcome::new(results.into_iter().flatten().collect());
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = threads;
-    run_trials_serial(scenario, n_trials, base_seed)
+    let seeds = trial_seeds(n_trials, base_seed);
+    Outcome::new(crate::map_units(&seeds, &crate::SweepOptions::default(), |&seed| {
+        run_trial(scenario, seed)
+    }))
 }
 
 #[cfg(test)]
@@ -787,13 +741,10 @@ mod tests {
     }
 
     #[test]
-    fn run_trials_with_is_thread_count_invariant() {
+    fn run_trials_matches_the_serial_reference() {
         let s = spiral_scenario(4, 2);
         let reference = run_trials_serial(&s, 12, 77);
-        for threads in [Some(1), Some(2), Some(5), None] {
-            let outcome = run_trials_with(&s, 12, 77, threads);
-            assert_eq!(outcome.trials(), reference.trials(), "threads {threads:?} diverged");
-        }
+        assert_eq!(run_trials(&s, 12, 77).trials(), reference.trials());
     }
 
     #[test]

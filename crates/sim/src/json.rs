@@ -17,26 +17,13 @@
 use std::fmt;
 
 /// Escape a string for inclusion in a JSON document (without the
-/// surrounding quotes).
+/// surrounding quotes): the one escaper the workspace shares, from
+/// `ants-obs`.
 ///
 /// ```
 /// assert_eq!(ants_sim::json::escape("a\"b\nc"), "a\\\"b\\nc");
 /// ```
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use ants_obs::json::escape;
 
 /// Serialize an `f64` as a JSON token, losslessly.
 ///

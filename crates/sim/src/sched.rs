@@ -10,35 +10,29 @@
 //! byte-identical to the serial reference at every thread count,
 //! granularity, and chunk size.
 //!
+//! The pool is the only executor: a single worker drains the same units
+//! inline on the calling thread, so `--threads 1` records the same
+//! per-unit telemetry as any other count.
+//!
 //! The unit of work per job is picked by [`Scheduler::plan`]: many-trial
 //! jobs parallelise perfectly well at trial granularity, while few-trial
-//! / many-agent jobs (E4's walk sampling, E7's uniform sweeps, E9's
-//! trade-off zoo at large `n`) would serialise onto one core unless their
-//! trials are split into agent chunks.
+//! / many-agent jobs (E7's uniform sweeps, E9's trade-off zoo at large
+//! `n`) would serialise onto one core unless their trials are split into
+//! agent chunks.
 
-use crate::engine::run_trials_serial;
-use crate::metrics::Outcome;
-use crate::observe::{observe_trial, ObserverSpec, TrialObservations};
+use crate::engine::{trial_seeds, ChunkRun, TrialPlan};
+use crate::metrics::{Outcome, TrialResult};
+use crate::observe::{observe_chunk, ObserverSpec, TrialObservations};
 use crate::scenario::Scenario;
-use ants_obs::Telemetry;
+use ants_obs::{Counter, Phase, PlanDecision, SpanGuard, Telemetry};
 use std::sync::{Arc, Mutex};
-
-use crate::engine::trial_seeds;
-#[cfg(feature = "parallel")]
-use crate::engine::{resolve_threads, ChunkRun, TrialPlan};
-#[cfg(feature = "parallel")]
-use crate::metrics::TrialResult;
-#[cfg(feature = "parallel")]
-use crate::observe::observe_chunk;
-#[cfg(feature = "parallel")]
-use ants_obs::{Counter, Phase, PlanDecision, SpanGuard};
 
 /// One cell of a batched scenario sweep: a scenario plus its trial count
 /// and base seed.
 ///
-/// The contract is that `run_sweep(&jobs, _)[i]` is byte-identical to
-/// `run_trials_serial(&jobs[i].scenario, jobs[i].trials, jobs[i].seed)` —
-/// batching changes wall-clock time only.
+/// The contract is that `run_sweep_with(&jobs, _)[i]` is byte-identical
+/// to `run_trials_serial(&jobs[i].scenario, jobs[i].trials, jobs[i].seed)`
+/// — batching changes wall-clock time only.
 pub struct SweepJob {
     /// The scenario to run.
     pub scenario: Scenario,
@@ -99,7 +93,7 @@ impl ObservedJob {
 /// three (pinned by `crates/sim/tests/determinism.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Granularity {
-    /// Let the cost heuristic pick per job (see [`Scheduler::plan`]).
+    /// Let the cost heuristic pick per job.
     #[default]
     Auto,
     /// One work unit per (cell, trial).
@@ -130,7 +124,7 @@ impl Granularity {
 }
 
 /// Default agents per chunk for agent-level scheduling.
-pub const DEFAULT_AGENT_CHUNK: usize = 8;
+const DEFAULT_AGENT_CHUNK: usize = 8;
 
 /// Per-trial work proxy (agents × move budget) below which a trial is
 /// never worth splitting: the per-chunk scheduling overhead would rival
@@ -146,12 +140,10 @@ const AGENT_SPLIT_WEIGHT: u64 = 1 << 12;
 /// leave workers idle — exactly what agent chunks fill.
 const POOL_SATURATION: u64 = 4;
 
-/// How one [`SweepJob`]'s trials are executed.
+/// How one sweep job's trials are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Everything on the calling thread.
-    Serial,
-    /// One work unit per trial (the PR-2 behaviour).
+enum Scheduler {
+    /// One work unit per trial.
     TrialLevel,
     /// One work unit per (trial, agent chunk), reduced canonically.
     AgentLevel {
@@ -161,48 +153,28 @@ pub enum Scheduler {
 }
 
 impl Scheduler {
-    /// Pick a scheduler for one job under `opts` with `threads` workers,
-    /// inside a sweep holding `sweep_trials` trial units in total.
+    /// Pick a scheduler for one job of `agents` agents and per-trial work
+    /// proxy `weight` under `opts` with `threads` workers, inside a sweep
+    /// holding `sweep_trials` trial units in total.
     ///
     /// A forced granularity (`--granularity trial|agent`) is honoured at
     /// *any* thread count — a single-worker agent-level run is how the
     /// speculation tests measure the hinted path's work deterministically.
     ///
     /// Under `Auto` the cost heuristic weighs agents × moves against
-    /// trials. The shared [`CapHint`](crate::CapHint) bounds the
-    /// speculation tax (speculative chunks stop within a poll interval of
-    /// the serial caps once earlier chunks publish), so splitting is
-    /// cheap and the policy is aggressive: a job splits into agent chunks
-    /// whenever the *whole sweep's* trials cannot keep every worker
-    /// [`POOL_SATURATION`] units deep (`sweep_trials <
-    /// POOL_SATURATION × threads` — the pool is shared, so sibling jobs'
-    /// trials keep workers busy too), the job has more agents than one
-    /// chunk holds (so the split is real), and a trial is heavy enough
-    /// (`agents × budget >= 2^12`) for the per-chunk overhead to vanish.
-    pub fn plan(
-        job: &SweepJob,
-        opts: &SweepOptions,
-        threads: usize,
-        sweep_trials: u64,
-    ) -> Scheduler {
-        let weight = (job.scenario.n_agents() as u64).saturating_mul(job.scenario.move_budget());
-        Scheduler::plan_weighted(job.scenario.n_agents(), weight, opts, threads, sweep_trials)
-    }
-
-    /// [`Scheduler::plan`] for an observed sweep job: the same policy
-    /// with the per-trial work proxy `agents × rounds` (observed agents
-    /// always run the full horizon, so the round count *is* the cost).
-    pub fn plan_observed(
-        job: &ObservedJob,
-        opts: &SweepOptions,
-        threads: usize,
-        sweep_trials: u64,
-    ) -> Scheduler {
-        let weight = (job.scenario.n_agents() as u64).saturating_mul(job.rounds);
-        Scheduler::plan_weighted(job.scenario.n_agents(), weight, opts, threads, sweep_trials)
-    }
-
-    fn plan_weighted(
+    /// trials, and a single worker always plans trial units (there is no
+    /// idle worker for a chunk to fill). The shared
+    /// [`CapHint`](crate::CapHint) bounds the speculation tax
+    /// (speculative chunks stop within a poll interval of the serial caps
+    /// once earlier chunks publish), so splitting is cheap and the policy
+    /// is aggressive: a job splits into agent chunks whenever the *whole
+    /// sweep's* trials cannot keep every worker [`POOL_SATURATION`] units
+    /// deep (`sweep_trials < POOL_SATURATION × threads` — the pool is
+    /// shared, so sibling jobs' trials keep workers busy too), the job
+    /// has more agents than one chunk holds (so the split is real), and a
+    /// trial is heavy enough (`weight >= 2^12`) for the per-chunk
+    /// overhead to vanish.
+    fn plan(
         agents: usize,
         weight: u64,
         opts: &SweepOptions,
@@ -211,25 +183,61 @@ impl Scheduler {
     ) -> Scheduler {
         let chunk = opts.chunk.unwrap_or(DEFAULT_AGENT_CHUNK).max(1);
         match opts.granularity {
-            // Forced granularities win over the thread count: an explicit
-            // `--granularity agent --threads 1` must run chunked (it used
-            // to silently fall back to the serial path).
             Granularity::Trial => Scheduler::TrialLevel,
             Granularity::Agent => Scheduler::AgentLevel { chunk },
-            Granularity::Auto => {
-                if threads <= 1 {
-                    Scheduler::Serial
-                } else if agents > chunk
+            Granularity::Auto
+                if threads > 1
+                    && agents > chunk
                     && sweep_trials < POOL_SATURATION * threads as u64
-                    && weight >= AGENT_SPLIT_WEIGHT
-                {
-                    Scheduler::AgentLevel { chunk }
-                } else {
-                    Scheduler::TrialLevel
-                }
+                    && weight >= AGENT_SPLIT_WEIGHT =>
+            {
+                Scheduler::AgentLevel { chunk }
             }
+            Granularity::Auto => Scheduler::TrialLevel,
         }
     }
+}
+
+/// Plan every job of a sweep from its `(agents, weight, trials)` shape
+/// and log each decision, with the weight and thresholds that drove it,
+/// to the attached telemetry (cold path: once per job per sweep).
+fn plan_sweep(shapes: &[(usize, u64, u64)], opts: &SweepOptions, threads: usize) -> Vec<Scheduler> {
+    let sweep_trials: u64 = shapes.iter().map(|&(_, _, trials)| trials).sum();
+    let chunk_or_default = opts.chunk.unwrap_or(DEFAULT_AGENT_CHUNK).max(1);
+    let mut plans = Vec::with_capacity(shapes.len());
+    for (job, &(agents, weight, _)) in shapes.iter().enumerate() {
+        let plan = Scheduler::plan(agents, weight, opts, threads, sweep_trials);
+        if let Some(t) = opts.telemetry {
+            let (granularity, chunk) = match plan {
+                Scheduler::TrialLevel => ("trial", chunk_or_default),
+                Scheduler::AgentLevel { chunk } => ("agent", chunk),
+            };
+            t.record_plan(PlanDecision {
+                job: job as u64,
+                granularity: granularity.to_string(),
+                agents: agents as u64,
+                weight,
+                sweep_trials,
+                threads: threads as u64,
+                chunk: chunk as u64,
+                split_weight: AGENT_SPLIT_WEIGHT,
+                saturation: POOL_SATURATION,
+            });
+        }
+        plans.push(plan);
+    }
+    plans
+}
+
+/// Resolve a thread policy to a concrete count.
+///
+/// `None` means "all available cores"; explicit counts are honoured as
+/// given (an oversubscribed count is allowed — useful for benchmarking
+/// the scheduling overhead). Both are clamped to `1..=64`.
+fn resolve_threads(threads: Option<usize>) -> usize {
+    threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+        .clamp(1, 64)
 }
 
 /// Options for [`run_sweep_with`]: thread policy, unit-of-work policy,
@@ -244,7 +252,7 @@ pub struct SweepOptions {
     /// Unit-of-work policy.
     pub granularity: Granularity,
     /// Agents per chunk for agent-level scheduling
-    /// (`None` = [`DEFAULT_AGENT_CHUNK`]).
+    /// (`None` = 8 agents per chunk).
     pub chunk: Option<usize>,
     probe: Option<Arc<Probe>>,
     telemetry: Option<Telemetry>,
@@ -292,14 +300,12 @@ impl SweepOptions {
         self.telemetry
     }
 
-    #[cfg(feature = "parallel")]
     fn record(&self, worker: usize, event: ProbeEvent) {
         if let Some(probe) = &self.probe {
             probe.record(worker, event);
         }
     }
 
-    #[cfg(feature = "parallel")]
     fn add_work(&self, steps: u64) {
         if let Some(probe) = &self.probe {
             probe.add_work(steps);
@@ -376,13 +382,11 @@ impl Probe {
         Arc::new(Probe::default())
     }
 
-    #[cfg(feature = "parallel")]
     fn record(&self, worker: usize, event: ProbeEvent) {
         let slot = &self.buffers[worker.min(self.buffers.len() - 1)];
         slot.lock().expect("probe poisoned").push(event);
     }
 
-    #[cfg(feature = "parallel")]
     fn add_work(&self, steps: u64) {
         self.work.fetch_add(steps, std::sync::atomic::Ordering::Relaxed);
     }
@@ -406,439 +410,74 @@ impl Probe {
     }
 }
 
-/// Log one job's scheduling decision, with the weight and thresholds
-/// that drove it (cold path: once per job per sweep).
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn record_plan_decision(
-    tele: Option<Telemetry>,
-    job: usize,
-    plan: Scheduler,
-    agents: usize,
-    weight: u64,
-    threads: usize,
-    sweep_trials: u64,
-    chunk_opt: Option<usize>,
-) {
-    let Some(t) = tele else { return };
-    let (granularity, chunk) = match plan {
-        Scheduler::Serial => ("serial", chunk_opt.unwrap_or(DEFAULT_AGENT_CHUNK).max(1)),
-        Scheduler::TrialLevel => ("trial", chunk_opt.unwrap_or(DEFAULT_AGENT_CHUNK).max(1)),
-        Scheduler::AgentLevel { chunk } => ("agent", chunk),
-    };
-    t.record_plan(PlanDecision {
-        job: job as u64,
-        granularity: granularity.to_string(),
-        agents: agents as u64,
-        weight,
-        sweep_trials,
-        threads: threads as u64,
-        chunk: chunk as u64,
-        split_weight: AGENT_SPLIT_WEIGHT,
-        saturation: POOL_SATURATION,
-    });
-}
-
-/// Run a batch of scenario sweeps across one shared thread pool.
+/// Run a batch of scenario sweeps across one shared thread pool, with
+/// full [`SweepOptions`]: thread policy, trial- or agent-level
+/// granularity, and chunk size.
 ///
 /// Experiment harnesses sweep parameter grids (E1 runs `D × n` cells);
 /// running each cell through [`crate::run_trials`] parallelises only
 /// *within* a cell and joins the pool between cells, so small cells leave
-/// cores idle. `run_sweep` flattens every cell into one work list and
-/// splits that across the pool, so the whole grid drains without
-/// barriers. Results come back per job, in job order, byte-identical to
-/// the serial path (see [`SweepJob`]).
-///
-/// `threads`: `Some(k)` pins the worker count, `None` uses all available
-/// cores. Granularity defaults to [`Granularity::Auto`]; use
-/// [`run_sweep_with`] to pin it. Without the `parallel` feature the sweep
-/// runs serially.
-pub fn run_sweep(jobs: &[SweepJob], threads: Option<usize>) -> Vec<Outcome> {
-    run_sweep_with(jobs, &SweepOptions::with_threads(threads))
-}
-
-/// [`run_sweep`] with full [`SweepOptions`]: thread policy, trial- or
-/// agent-level granularity, and chunk size.
+/// cores idle. `run_sweep_with` flattens every cell into one work list
+/// and drains it through the pool, so the whole grid finishes without
+/// barriers. Results come back per job, in job order.
 ///
 /// The determinism contract is unchanged by every option: outcomes are
 /// byte-identical to `run_trials_serial` per job at every thread count,
 /// granularity, and chunk size (`crates/sim/tests/determinism.rs` pins
 /// this).
 pub fn run_sweep_with(jobs: &[SweepJob], opts: &SweepOptions) -> Vec<Outcome> {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = resolve_threads(opts.threads);
-        // Count *work units*, not trials: a single-trial many-agent job —
-        // the flagship case for agent granularity — still fans out into
-        // its chunks.
-        let sweep_trials: u64 = jobs.iter().map(|j| j.trials).sum();
-        let mut chunked = false;
-        let mut units: u64 = 0;
-        for (i, j) in jobs.iter().enumerate() {
-            let plan = Scheduler::plan(j, opts, threads, sweep_trials);
-            let agents = j.scenario.n_agents();
-            let weight = (agents as u64).saturating_mul(j.scenario.move_budget());
-            record_plan_decision(
-                opts.telemetry,
-                i,
-                plan,
-                agents,
-                weight,
-                threads,
-                sweep_trials,
-                opts.chunk,
-            );
-            units += match plan {
-                Scheduler::AgentLevel { chunk } => {
-                    chunked = true;
-                    j.trials.saturating_mul(agents.div_ceil(chunk) as u64)
-                }
-                Scheduler::Serial | Scheduler::TrialLevel => j.trials,
-            };
-        }
-        // A single worker still takes the pooled path when a job planned
-        // agent chunks (a forced `--granularity agent` must run chunked
-        // at any thread count); plain serial work stays on the fallback.
-        if (threads > 1 || chunked) && units >= 2 {
-            return sweep_parallel(jobs, opts, threads);
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = opts;
-    jobs.iter().map(|j| run_trials_serial(&j.scenario, j.trials, j.seed)).collect()
-}
-
-/// Run a batch of observed sweeps across the shared thread pool.
-///
-/// Returns, per job, per trial (in seed order), the trial's observations
-/// (one [`Observation`](crate::observe::Observation) per requested spec,
-/// in spec order). The scheduling mirrors [`run_sweep_with`]: jobs are
-/// flattened into (job, trial, agent-chunk) units per
-/// [`Scheduler::plan_observed`], drained through the same work-stealing
-/// pool, and each trial's chunk observations are merged in canonical
-/// chunk order — byte-identical to the serial
-/// [`observe_trial`] reference at every thread count, granularity, and
-/// chunk size (pinned by `crates/sim/tests/observers.rs`).
-pub fn run_observed_sweep(
-    jobs: &[ObservedJob],
-    opts: &SweepOptions,
-) -> Vec<Vec<TrialObservations>> {
-    #[cfg(feature = "parallel")]
-    {
-        let threads = resolve_threads(opts.threads);
-        let sweep_trials: u64 = jobs.iter().map(|j| j.trials).sum();
-        let mut chunked = false;
-        let mut units: u64 = 0;
-        for (i, j) in jobs.iter().enumerate() {
-            let plan = Scheduler::plan_observed(j, opts, threads, sweep_trials);
-            let agents = j.scenario.n_agents();
-            let weight = (agents as u64).saturating_mul(j.rounds);
-            record_plan_decision(
-                opts.telemetry,
-                i,
-                plan,
-                agents,
-                weight,
-                threads,
-                sweep_trials,
-                opts.chunk,
-            );
-            units += match plan {
-                Scheduler::AgentLevel { chunk } => {
-                    chunked = true;
-                    j.trials.saturating_mul(agents.div_ceil(chunk) as u64)
-                }
-                Scheduler::Serial | Scheduler::TrialLevel => j.trials,
-            };
-        }
-        if (threads > 1 || chunked) && units >= 2 {
-            return observed_parallel(jobs, opts, threads);
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = opts;
-    jobs.iter()
-        .map(|j| {
-            trial_seeds(j.trials, j.seed)
-                .iter()
-                .map(|&seed| observe_trial(&j.scenario, seed, j.rounds, &j.specs))
-                .collect()
-        })
-        .collect()
-}
-
-#[cfg(feature = "parallel")]
-fn observed_parallel(
-    jobs: &[ObservedJob],
-    opts: &SweepOptions,
-    threads: usize,
-) -> Vec<Vec<TrialObservations>> {
-    /// One agent-range unit of an observed trial.
-    struct ObsUnit {
-        job: usize,
-        seed: u64,
-        first: usize,
-        end: usize,
+    enum Unit {
+        Trial {
+            job: usize,
+            trial: u64,
+            seed: u64,
+        },
+        /// `red` indexes the trial's pending [`Reduction`] — and
+        /// therefore its shared [`CapHint`](crate::CapHint).
+        Chunk {
+            job: usize,
+            trial: u64,
+            seed: u64,
+            chunk: usize,
+            chunk_idx: usize,
+            red: usize,
+        },
     }
 
-    let tele = opts.telemetry;
-
-    // Flatten every job into units in canonical (job, trial, chunk)
-    // order, remembering each trial's contiguous unit span.
-    let plan_span = SpanGuard::new(tele, Phase::Plan);
-    let sweep_trials: u64 = jobs.iter().map(|j| j.trials).sum();
-    let mut units: Vec<ObsUnit> = Vec::new();
-    let mut spans: Vec<(usize, u64, std::ops::Range<usize>)> = Vec::new();
-    for (job, j) in jobs.iter().enumerate() {
-        let n_agents = j.scenario.n_agents();
-        let chunk = match Scheduler::plan_observed(j, opts, threads, sweep_trials) {
-            Scheduler::AgentLevel { chunk } => chunk,
-            // Trial-level (or degenerate serial) plans observe the whole
-            // trial as one unit.
-            Scheduler::Serial | Scheduler::TrialLevel => n_agents,
-        };
-        for (trial, &seed) in trial_seeds(j.trials, j.seed).iter().enumerate() {
-            let start = units.len();
-            let mut first = 0usize;
-            while first < n_agents {
-                let end = (first + chunk).min(n_agents);
-                units.push(ObsUnit { job, seed, first, end });
-                first = end;
-            }
-            spans.push((job, trial as u64, start..units.len()));
-        }
-    }
-
-    drop(plan_span);
-
-    // Wave 1: drain all chunk units through the pool.
-    let execute_span = SpanGuard::new(tele, Phase::Execute);
-    let outs: Vec<TrialObservations> = drain(&units, threads, tele, |_w, u| {
-        let j = &jobs[u.job];
-        observe_chunk(&j.scenario, u.seed, j.rounds, &j.specs, u.first, u.end)
-    });
-    drop(execute_span);
-
-    // Wave 2: merge each trial's chunks in canonical order (every merge
-    // is also order-independent; the canonical order makes that fact
-    // unnecessary for determinism).
-    let _reduce_span = SpanGuard::new(tele, Phase::Reduce);
-    let mut per_trial: Vec<Vec<Option<TrialObservations>>> =
-        jobs.iter().map(|j| vec![None; j.trials as usize]).collect();
-    let mut outs: Vec<Option<TrialObservations>> = outs.into_iter().map(Some).collect();
-    for (job, trial, span) in spans {
-        let mut merged: Option<TrialObservations> = None;
-        for slot in &mut outs[span] {
-            let part = slot.take().expect("each unit consumed once");
-            match &mut merged {
-                None => merged = Some(part),
-                Some(acc) => {
-                    for (a, b) in acc.iter_mut().zip(&part) {
-                        a.merge(b);
-                    }
-                }
-            }
-        }
-        per_trial[job][trial as usize] = Some(merged.expect("trials have at least one chunk"));
-    }
-    per_trial
-        .into_iter()
-        .map(|trials| trials.into_iter().map(|t| t.expect("missing observed trial")).collect())
-        .collect()
-}
-
-/// Deterministic parallel map over `0..n`, in canonical index order.
-///
-/// The index range is split into contiguous batches drained through the
-/// same kind of worker pool as [`run_sweep_with`]; results are flattened
-/// back in index order, so the output equals `(0..n).map(f).collect()`
-/// exactly. This is the agent-level scheduling primitive for experiments
-/// whose inner loop is not a [`Scenario`] (E4 samples walk lengths with
-/// it). Only `opts.threads` applies here: `opts.chunk` is *agents* per
-/// chunk and deliberately ignored — batch sizes are auto-scaled to ~16
-/// batches per worker, clamped to `64..=65_536` samples.
-pub fn map_indexed<R, F>(n: u64, opts: &SweepOptions, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-{
-    #[cfg(feature = "parallel")]
-    {
-        let threads = resolve_threads(opts.threads);
-        if threads > 1 && n >= 2 {
-            let chunk = n.div_ceil(threads as u64 * 16).clamp(64, 65_536);
-            let ranges: Vec<(u64, u64)> =
-                (0..n.div_ceil(chunk)).map(|i| (i * chunk, ((i + 1) * chunk).min(n))).collect();
-            let parts: Vec<Vec<R>> =
-                drain(&ranges, threads, opts.telemetry, |_w, &(lo, hi)| (lo..hi).map(&f).collect());
-            return parts.into_iter().flatten().collect();
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = opts;
-    (0..n).map(f).collect()
-}
-
-/// Deterministic parallel map over coarse, independent work units, in
-/// unit order.
-///
-/// For units that each cost milliseconds or more — the exact backend's
-/// curve solves — where [`map_indexed`]'s batching would lump a few
-/// hundred units into a handful of uneven batches. Every unit is
-/// claimed on its own from the shared cursor of the same work-stealing
-/// pool [`run_sweep_with`] drains, so the output equals
-/// `units.iter().map(f).collect()` exactly and a slow unit never holds
-/// cheap ones behind it. Only `opts.threads` and `opts.telemetry`
-/// apply: claims count in the pool counters like any sweep unit. One
-/// worker (or fewer than two units) runs inline on the calling thread,
-/// spawning nothing.
-pub fn map_units<T, U, F>(units: &[T], opts: &SweepOptions, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    #[cfg(feature = "parallel")]
-    {
-        let threads = resolve_threads(opts.threads);
-        if threads > 1 && units.len() >= 2 {
-            return drain(units, threads, opts.telemetry, |_w, unit| f(unit));
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = opts;
-    units.iter().map(f).collect()
-}
-
-/// Drain `units` through `threads` workers pulling from an atomic cursor;
-/// returns one output per unit, in unit order. The closure receives the
-/// executing worker's index alongside the unit.
-///
-/// When `tele` is attached each worker counts its own claims, steals
-/// (units claimed off their static round-robin home `i % workers`),
-/// cursor polls, and busy/idle wall-clock in locals, flushing once to
-/// the worker's shard at exit — the hot loop gains no shared-state
-/// traffic and no clock reads unless telemetry is on.
-#[cfg(feature = "parallel")]
-fn drain<T, U, F>(units: &[T], threads: usize, tele: Option<Telemetry>, run: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Instant;
-
-    if units.is_empty() {
-        return Vec::new();
-    }
-    let cursor = AtomicUsize::new(0);
-    let workers = threads.min(units.len());
-    // Each worker keeps (index, output) pairs for the units it stole;
-    // outputs are reassembled in unit order after the join.
-    let cursor = &cursor;
-    let run = &run;
-    let collected: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let started = tele.map(|_| Instant::now());
-                    let mut claimed = 0u64;
-                    let mut stolen = 0u64;
-                    let mut polls = 0u64;
-                    let mut busy = std::time::Duration::ZERO;
-                    let mut mine = Vec::new();
-                    loop {
-                        polls += 1;
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(unit) = units.get(i) else { break };
-                        if started.is_some() {
-                            claimed += 1;
-                            if i % workers != w {
-                                stolen += 1;
-                            }
-                            let t0 = Instant::now();
-                            mine.push((i, run(w, unit)));
-                            busy += t0.elapsed();
-                        } else {
-                            mine.push((i, run(w, unit)));
-                        }
-                    }
-                    if let (Some(t), Some(t0)) = (tele, started) {
-                        let as_ns = |d: std::time::Duration| {
-                            u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-                        };
-                        let total_ns = as_ns(t0.elapsed());
-                        let busy_ns = as_ns(busy);
-                        t.add(w, Counter::PoolUnits, claimed);
-                        t.add(w, Counter::PoolSteals, stolen);
-                        t.add(w, Counter::PoolPolls, polls);
-                        t.add(w, Counter::PoolBusyNs, busy_ns);
-                        t.add(w, Counter::PoolIdleNs, total_ns.saturating_sub(busy_ns));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
-    });
-    let mut slots: Vec<Option<U>> = units.iter().map(|_| None).collect();
-    for (i, out) in collected.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "unit {i} executed twice");
-        slots[i] = Some(out);
-    }
-    slots.into_iter().map(|s| s.expect("work unit never executed")).collect()
-}
-
-#[cfg(feature = "parallel")]
-enum Unit {
-    Trial {
-        job: usize,
-        trial: u64,
-        seed: u64,
-    },
-    /// `red` indexes the trial's pending [`Reduction`] — and therefore
-    /// its shared [`CapHint`](crate::CapHint).
-    Chunk {
+    /// A pending per-trial reduction: the contiguous unit range holding
+    /// the trial's chunks.
+    struct Reduction {
         job: usize,
         trial: u64,
         seed: u64,
         chunk: usize,
-        chunk_idx: usize,
-        red: usize,
-    },
-}
+        units: std::ops::Range<usize>,
+    }
 
-/// A pending per-trial reduction: the contiguous unit range holding the
-/// trial's chunks.
-#[cfg(feature = "parallel")]
-struct Reduction {
-    job: usize,
-    trial: u64,
-    seed: u64,
-    chunk: usize,
-    units: std::ops::Range<usize>,
-}
-
-#[cfg(feature = "parallel")]
-fn sweep_parallel(jobs: &[SweepJob], opts: &SweepOptions, threads: usize) -> Vec<Outcome> {
     enum Out {
         Trial(TrialResult),
         Chunk(ChunkRun),
     }
 
+    let threads = resolve_threads(opts.threads);
     let tele = opts.telemetry;
 
     // Flatten every job into units, in canonical (job, trial, chunk)
     // order; remember the reductions agent-level trials will need.
     let plan_span = SpanGuard::new(tele, Phase::Plan);
-    let sweep_trials: u64 = jobs.iter().map(|j| j.trials).sum();
+    let shapes: Vec<(usize, u64, u64)> = jobs
+        .iter()
+        .map(|j| {
+            let agents = j.scenario.n_agents();
+            (agents, (agents as u64).saturating_mul(j.scenario.move_budget()), j.trials)
+        })
+        .collect();
     let mut units: Vec<Unit> = Vec::new();
     let mut reductions: Vec<Reduction> = Vec::new();
-    for (job, j) in jobs.iter().enumerate() {
+    for (job, (j, plan)) in jobs.iter().zip(plan_sweep(&shapes, opts, threads)).enumerate() {
         let seeds = trial_seeds(j.trials, j.seed);
-        match Scheduler::plan(j, opts, threads, sweep_trials) {
-            Scheduler::Serial | Scheduler::TrialLevel => {
+        match plan {
+            Scheduler::TrialLevel => {
                 for (trial, &seed) in seeds.iter().enumerate() {
                     units.push(Unit::Trial { job, trial: trial as u64, seed });
                 }
@@ -947,9 +586,204 @@ fn sweep_parallel(jobs: &[SweepJob], opts: &SweepOptions, threads: usize) -> Vec
         .collect()
 }
 
+/// Run a batch of observed sweeps across the shared thread pool.
+///
+/// Returns, per job, per trial (in seed order), the trial's observations
+/// (one [`Observation`](crate::observe::Observation) per requested spec,
+/// in spec order). The scheduling mirrors [`run_sweep_with`], with the
+/// per-trial work proxy `agents × rounds` (observed agents always run
+/// the full horizon, so the round count *is* the cost): jobs are
+/// flattened into (job, trial, agent-chunk) units, drained through the
+/// same work-stealing pool, and each trial's chunk observations are
+/// merged in canonical chunk order — byte-identical to the serial
+/// [`observe_trial`](crate::observe_trial) reference at every thread
+/// count, granularity, and chunk size (pinned by
+/// `crates/sim/tests/observers.rs`).
+pub fn run_observed_sweep(
+    jobs: &[ObservedJob],
+    opts: &SweepOptions,
+) -> Vec<Vec<TrialObservations>> {
+    /// One agent-range unit of an observed trial.
+    struct ObsUnit {
+        job: usize,
+        seed: u64,
+        first: usize,
+        end: usize,
+    }
+
+    let threads = resolve_threads(opts.threads);
+    let tele = opts.telemetry;
+
+    // Flatten every job into units in canonical (job, trial, chunk)
+    // order, remembering each trial's contiguous unit span.
+    let plan_span = SpanGuard::new(tele, Phase::Plan);
+    let shapes: Vec<(usize, u64, u64)> = jobs
+        .iter()
+        .map(|j| {
+            let agents = j.scenario.n_agents();
+            (agents, (agents as u64).saturating_mul(j.rounds), j.trials)
+        })
+        .collect();
+    let mut units: Vec<ObsUnit> = Vec::new();
+    let mut spans: Vec<(usize, u64, std::ops::Range<usize>)> = Vec::new();
+    for (job, (j, plan)) in jobs.iter().zip(plan_sweep(&shapes, opts, threads)).enumerate() {
+        let n_agents = j.scenario.n_agents();
+        let chunk = match plan {
+            Scheduler::AgentLevel { chunk } => chunk,
+            // Trial-level plans observe the whole trial as one unit.
+            Scheduler::TrialLevel => n_agents,
+        };
+        for (trial, &seed) in trial_seeds(j.trials, j.seed).iter().enumerate() {
+            let start = units.len();
+            let mut first = 0usize;
+            while first < n_agents {
+                let end = (first + chunk).min(n_agents);
+                units.push(ObsUnit { job, seed, first, end });
+                first = end;
+            }
+            spans.push((job, trial as u64, start..units.len()));
+        }
+    }
+    drop(plan_span);
+
+    // Wave 1: drain all chunk units through the pool.
+    let execute_span = SpanGuard::new(tele, Phase::Execute);
+    let outs: Vec<TrialObservations> = drain(&units, threads, tele, |_w, u| {
+        let j = &jobs[u.job];
+        observe_chunk(&j.scenario, u.seed, j.rounds, &j.specs, u.first, u.end)
+    });
+    drop(execute_span);
+
+    // Wave 2: merge each trial's chunks in canonical order (every merge
+    // is also order-independent; the canonical order makes that fact
+    // unnecessary for determinism).
+    let _reduce_span = SpanGuard::new(tele, Phase::Reduce);
+    let mut per_trial: Vec<Vec<Option<TrialObservations>>> =
+        jobs.iter().map(|j| vec![None; j.trials as usize]).collect();
+    let mut outs: Vec<Option<TrialObservations>> = outs.into_iter().map(Some).collect();
+    for (job, trial, span) in spans {
+        let mut merged: Option<TrialObservations> = None;
+        for slot in &mut outs[span] {
+            let part = slot.take().expect("each unit consumed once");
+            match &mut merged {
+                None => merged = Some(part),
+                Some(acc) => {
+                    for (a, b) in acc.iter_mut().zip(&part) {
+                        a.merge(b);
+                    }
+                }
+            }
+        }
+        per_trial[job][trial as usize] = Some(merged.expect("trials have at least one chunk"));
+    }
+    per_trial
+        .into_iter()
+        .map(|trials| trials.into_iter().map(|t| t.expect("missing observed trial")).collect())
+        .collect()
+}
+
+/// Deterministic parallel map over independent work units, in unit
+/// order.
+///
+/// Every unit is claimed on its own from the shared cursor of the same
+/// work-stealing pool [`run_sweep_with`] drains, so the output equals
+/// `units.iter().map(f).collect()` exactly and a slow unit never holds
+/// cheap ones behind it. The exact backend hands it one curve solve per
+/// unit, [`crate::run_trials`] one trial seed per unit, and E4 one batch
+/// of walk-sample indices per unit. Only `opts.threads` and
+/// `opts.telemetry` apply: claims count in the pool counters like any
+/// sweep unit, at every thread count.
+pub fn map_units<T, U, F>(units: &[T], opts: &SweepOptions, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    drain(units, resolve_threads(opts.threads), opts.telemetry, |_w, unit| f(unit))
+}
+
+/// Drain `units` through `threads` workers pulling from an atomic cursor;
+/// returns one output per unit, in unit order. The closure receives the
+/// executing worker's index alongside the unit. A single worker runs
+/// inline on the calling thread, spawning nothing.
+///
+/// When `tele` is attached each worker counts its own claims, steals
+/// (units claimed off their static round-robin home `i % workers`),
+/// cursor polls, and busy/idle wall-clock in locals, flushing once to
+/// the worker's shard at exit — the hot loop gains no shared-state
+/// traffic and no clock reads unless telemetry is on.
+fn drain<T, U, F>(units: &[T], threads: usize, tele: Option<Telemetry>, run: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(usize, &T) -> U + Sync,
+{
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
+
+    if units.is_empty() {
+        return Vec::new();
+    }
+    let cursor = AtomicUsize::new(0);
+    let workers = threads.min(units.len());
+    // Each worker keeps (index, output) pairs for the units it claimed;
+    // outputs are reassembled in unit order after the join.
+    let work = |w: usize| {
+        let started = tele.map(|_| Instant::now());
+        let mut claimed = 0u64;
+        let mut stolen = 0u64;
+        let mut polls = 0u64;
+        let mut busy = std::time::Duration::ZERO;
+        let mut mine = Vec::new();
+        loop {
+            polls += 1;
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(unit) = units.get(i) else { break };
+            if started.is_some() {
+                claimed += 1;
+                if i % workers != w {
+                    stolen += 1;
+                }
+                let t0 = Instant::now();
+                mine.push((i, run(w, unit)));
+                busy += t0.elapsed();
+            } else {
+                mine.push((i, run(w, unit)));
+            }
+        }
+        if let (Some(t), Some(t0)) = (tele, started) {
+            let as_ns = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+            let total_ns = as_ns(t0.elapsed());
+            let busy_ns = as_ns(busy);
+            t.add(w, Counter::PoolUnits, claimed);
+            t.add(w, Counter::PoolSteals, stolen);
+            t.add(w, Counter::PoolPolls, polls);
+            t.add(w, Counter::PoolBusyNs, busy_ns);
+            t.add(w, Counter::PoolIdleNs, total_ns.saturating_sub(busy_ns));
+        }
+        mine
+    };
+    let collected: Vec<Vec<(usize, U)>> = if workers == 1 {
+        vec![work(0)]
+    } else {
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
+            handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
+        })
+    };
+    let mut slots: Vec<Option<U>> = units.iter().map(|_| None).collect();
+    for (i, out) in collected.into_iter().flatten() {
+        debug_assert!(slots[i].is_none(), "unit {i} executed twice");
+        slots[i] = Some(out);
+    }
+    slots.into_iter().map(|s| s.expect("work unit never executed")).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run_trials_serial;
     use ants_core::baselines::SpiralSearch;
     use ants_grid::TargetPlacement;
 
@@ -966,12 +800,19 @@ mod tests {
         SweepJob::new(spiral_scenario(d, n), trials, seed)
     }
 
+    /// [`Scheduler::plan`] for a sweep job, weighted like [`run_sweep_with`].
+    fn plan(job: &SweepJob, opts: &SweepOptions, threads: usize, sweep_trials: u64) -> Scheduler {
+        let agents = job.scenario.n_agents();
+        let weight = (agents as u64).saturating_mul(job.scenario.move_budget());
+        Scheduler::plan(agents, weight, opts, threads, sweep_trials)
+    }
+
     #[test]
     fn run_sweep_matches_serial_reference() {
         let jobs: Vec<SweepJob> =
             [(3u64, 11u64), (5, 22), (7, 33)].into_iter().map(|(d, s)| job(d, 2, 6, s)).collect();
         for threads in [None, Some(1), Some(3), Some(16)] {
-            let outcomes = run_sweep(&jobs, threads);
+            let outcomes = run_sweep_with(&jobs, &SweepOptions::with_threads(threads));
             assert_eq!(outcomes.len(), jobs.len());
             for (j, outcome) in jobs.iter().zip(&outcomes) {
                 let reference = run_trials_serial(&j.scenario, j.trials, j.seed);
@@ -986,9 +827,9 @@ mod tests {
 
     #[test]
     fn run_sweep_handles_empty_and_tiny_batches() {
-        assert!(run_sweep(&[], None).is_empty());
+        assert!(run_sweep_with(&[], &SweepOptions::default()).is_empty());
         let jobs = vec![job(2, 1, 1, 9)];
-        let outcomes = run_sweep(&jobs, Some(8));
+        let outcomes = run_sweep_with(&jobs, &SweepOptions::with_threads(Some(8)));
         assert_eq!(outcomes[0].trials(), run_trials_serial(&jobs[0].scenario, 1, 9).trials());
     }
 
@@ -1004,23 +845,24 @@ mod tests {
     #[test]
     fn scheduler_plan_heuristics() {
         let opts = SweepOptions::default();
-        // One worker: always serial.
-        assert_eq!(Scheduler::plan(&job(4, 64, 2, 0), &opts, 1, 2), Scheduler::Serial);
+        // One worker: always trial units, even for a job that would split
+        // on a pool.
+        assert_eq!(plan(&job(4, 64, 2, 0), &opts, 1, 2), Scheduler::TrialLevel);
         // Many trials, light cells: trial level.
-        assert_eq!(Scheduler::plan(&job(4, 2, 100, 0), &opts, 4, 100), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 2, 100, 0), &opts, 4, 100), Scheduler::TrialLevel);
         // Few trials, many agents: agent level.
         assert_eq!(
-            Scheduler::plan(&job(4, 64, 2, 0), &opts, 4, 2),
+            plan(&job(4, 64, 2, 0), &opts, 4, 2),
             Scheduler::AgentLevel { chunk: DEFAULT_AGENT_CHUNK }
         );
         // Plenty of trials fill the pool on their own: never split (the
         // speculative chunks would multiply total work for nothing).
-        assert_eq!(Scheduler::plan(&job(4, 64, 100, 0), &opts, 4, 100), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 64, 100, 0), &opts, 4, 100), Scheduler::TrialLevel);
         // Aggressive split: trials that keep workers less than
         // POOL_SATURATION units deep still split (15 trials on 4 workers
         // would have stayed at trial level under the pre-hint policy).
         assert_eq!(
-            Scheduler::plan(&job(4, 64, 15, 0), &opts, 4, 15),
+            plan(&job(4, 64, 15, 0), &opts, 4, 15),
             Scheduler::AgentLevel { chunk: DEFAULT_AGENT_CHUNK }
         );
         // Too light a trial to split: the per-chunk scheduling overhead
@@ -1035,51 +877,32 @@ mod tests {
             2,
             0,
         );
-        assert_eq!(Scheduler::plan(&light, &opts, 4, 2), Scheduler::TrialLevel);
+        assert_eq!(plan(&light, &opts, 4, 2), Scheduler::TrialLevel);
         // The pool is shared: a few-trial heavy job inside a sweep whose
         // siblings already provide plenty of trial units stays unsplit.
-        assert_eq!(Scheduler::plan(&job(4, 64, 2, 0), &opts, 4, 100), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 64, 2, 0), &opts, 4, 100), Scheduler::TrialLevel);
         // Too few agents to split: stays at trial level.
-        assert_eq!(Scheduler::plan(&job(4, 4, 2, 0), &opts, 4, 2), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 4, 2, 0), &opts, 4, 2), Scheduler::TrialLevel);
     }
 
     #[test]
     fn scheduler_plan_honours_forced_granularity() {
         let opts = SweepOptions::default().granularity(Granularity::Agent).chunk(3);
-        assert_eq!(
-            Scheduler::plan(&job(4, 2, 100, 0), &opts, 4, 100),
-            Scheduler::AgentLevel { chunk: 3 }
-        );
+        assert_eq!(plan(&job(4, 2, 100, 0), &opts, 4, 100), Scheduler::AgentLevel { chunk: 3 });
         let opts = SweepOptions::default().granularity(Granularity::Trial);
-        assert_eq!(Scheduler::plan(&job(4, 64, 2, 0), &opts, 4, 2), Scheduler::TrialLevel);
+        assert_eq!(plan(&job(4, 64, 2, 0), &opts, 4, 2), Scheduler::TrialLevel);
     }
 
     /// Regression: an explicit `--granularity agent` (or `trial`) used to
-    /// be silently discarded whenever `threads <= 1` — `plan_weighted`
-    /// returned `Serial` before even looking at the forced granularity.
+    /// be silently discarded whenever `threads <= 1` — the planner
+    /// returned a serial plan before even looking at the forced
+    /// granularity.
     #[test]
     fn scheduler_plan_honours_forced_granularity_on_one_worker() {
         let opts = SweepOptions::default().granularity(Granularity::Agent).chunk(3);
-        assert_eq!(
-            Scheduler::plan(&job(4, 64, 2, 0), &opts, 1, 2),
-            Scheduler::AgentLevel { chunk: 3 }
-        );
+        assert_eq!(plan(&job(4, 64, 2, 0), &opts, 1, 2), Scheduler::AgentLevel { chunk: 3 });
         let opts = SweepOptions::default().granularity(Granularity::Trial);
-        assert_eq!(Scheduler::plan(&job(4, 64, 2, 0), &opts, 1, 2), Scheduler::TrialLevel);
-    }
-
-    #[test]
-    fn map_indexed_is_order_preserving() {
-        // 1000 items at the 64-sample minimum batch: ~16 batches, so the
-        // multi-batch reassembly path is genuinely exercised.
-        let reference: Vec<u64> = (0..1000).map(|i| i * 7 % 13).collect();
-        for threads in [Some(1), Some(2), Some(4)] {
-            // `chunk` is agents per chunk and must not leak into the
-            // sample batching.
-            let opts = SweepOptions::with_threads(threads).chunk(1);
-            assert_eq!(map_indexed(1000, &opts, |i| i * 7 % 13), reference);
-        }
-        assert_eq!(map_indexed(0, &SweepOptions::default(), |i| i), Vec::<u64>::new());
+        assert_eq!(plan(&job(4, 64, 2, 0), &opts, 1, 2), Scheduler::TrialLevel);
     }
 
     #[test]
@@ -1090,9 +913,9 @@ mod tests {
             let t = ants_obs::Telemetry::new();
             let opts = SweepOptions::with_threads(Some(threads)).with_telemetry(t);
             assert_eq!(map_units(&units, &opts, |i| i * 7 % 13), reference);
-            // One pool claim per unit on the pool; none inline.
-            let expect = if threads > 1 && cfg!(feature = "parallel") { 37 } else { 0 };
-            assert_eq!(t.counter(ants_obs::Counter::PoolUnits), expect, "{threads} threads");
+            // One pool claim per unit at every thread count: a single
+            // worker drains the same pool inline.
+            assert_eq!(t.counter(ants_obs::Counter::PoolUnits), 37, "{threads} threads");
         }
         assert_eq!(map_units(&[] as &[u64], &SweepOptions::default(), |i| *i), Vec::<u64>::new());
     }

@@ -179,7 +179,6 @@ proptest! {
 /// reduced exactly once in canonical chunk order, and no whole-trial
 /// units sneak in. Uses the engine's test-only probe hook (attached per
 /// invocation — zero production overhead).
-#[cfg(feature = "parallel")]
 #[test]
 fn agent_units_execute_exactly_once() {
     use ants_sim::{Probe, ProbeEvent};
@@ -229,7 +228,6 @@ fn agent_units_execute_exactly_once() {
 
 /// Trial-level scheduling executes exactly one whole-trial unit per
 /// (cell, trial) and performs no chunk work or reductions.
-#[cfg(feature = "parallel")]
 #[test]
 fn trial_units_execute_exactly_once() {
     use ants_sim::{Probe, ProbeEvent};
@@ -256,9 +254,7 @@ fn trial_units_execute_exactly_once() {
 }
 
 /// The flagship case — a single trial with many agents — must fan out
-/// into agent chunks rather than falling back to the serial path (the
-/// unit count, not the trial count, decides).
-#[cfg(feature = "parallel")]
+/// into agent chunks rather than run as one whole-trial unit.
 #[test]
 fn single_trial_many_agents_fans_out() {
     use ants_sim::{Probe, ProbeEvent};
@@ -284,26 +280,41 @@ fn single_trial_many_agents_fans_out() {
     assert_eq!(events, expected, "1-trial/9-agent job must split into 5 chunks");
 }
 
-/// The probe must record nothing when the sweep falls back to the serial
-/// path: one worker under auto granularity plans every job serially.
-#[cfg(feature = "parallel")]
+/// One worker under auto granularity drains the same pool as any other
+/// thread count: exactly one whole-trial unit per (cell, trial), no
+/// agent chunks and no reductions, and the probe sees the work.
 #[test]
-fn serial_fallback_records_no_units() {
-    use ants_sim::Probe;
+fn one_worker_auto_records_one_trial_unit_per_trial() {
+    use ants_sim::{Probe, ProbeEvent};
 
-    let jobs = vec![SweepJob::new(rand_scenario(1, 2, 3, false), 2, 1)];
+    let jobs = vec![
+        SweepJob::new(rand_scenario(1, 2, 3, false), 2, 1),
+        // Many agents on one trial: a pool would split this job, one
+        // worker must not.
+        SweepJob::new(rand_scenario(2, 40, 6, false), 1, 2),
+    ];
     let probe = Probe::new();
     let opts = SweepOptions::with_threads(Some(1)).with_probe(probe.clone());
-    let _ = run_sweep_with(&jobs, &opts);
-    assert!(probe.take().is_empty());
-    assert_eq!(probe.work(), 0);
+    let outcomes = run_sweep_with(&jobs, &opts);
+    for (job, outcome) in jobs.iter().zip(&outcomes) {
+        let reference = run_trials_serial(&job.scenario, job.trials, job.seed);
+        assert_eq!(outcome.trials(), reference.trials(), "one-worker sweep diverged");
+    }
+    let mut events = probe.take();
+    events.sort_unstable();
+    let expected = vec![
+        ProbeEvent::TrialUnit { job: 0, trial: 0 },
+        ProbeEvent::TrialUnit { job: 0, trial: 1 },
+        ProbeEvent::TrialUnit { job: 1, trial: 0 },
+    ];
+    assert_eq!(events, expected, "one worker under auto must plan trial units only");
+    assert!(probe.work() > 0, "trial units must report their work");
 }
 
 /// Regression for the forced-granularity bug: `--granularity agent` on a
 /// single worker must still run chunked (it used to fall back to the
 /// serial path, recording nothing and ignoring the explicit request) —
 /// and stay byte-identical to the serial reference.
-#[cfg(feature = "parallel")]
 #[test]
 fn forced_agent_granularity_runs_chunked_on_one_worker() {
     use ants_sim::{Probe, ProbeEvent};

@@ -1,8 +1,8 @@
 //! Golden end-to-end determinism test.
 //!
 //! `run_trials` on a fixed [`Scenario`] + seed must reproduce *byte-identical*
-//! results across runs, across thread counts, and across the
-//! `parallel`/serial builds (CI runs this file under both). The pinned
+//! results across runs, across thread counts, and against the
+//! single-threaded `run_trials_serial` reference. The pinned
 //! constants below freeze two contracts:
 //!
 //! 1. the seed-derivation contract of `ants_rng::derive_rng` (trial seed +
@@ -141,9 +141,8 @@ fn golden_sweep_is_granularity_invariant() {
     }
 }
 
-/// Repeat runs and the serial reference implementation agree exactly.
-/// Under `--features parallel` this is the threaded-vs-serial identity;
-/// under `--no-default-features` it is a pure repeatability check.
+/// Repeat runs and the serial reference implementation agree exactly:
+/// the pooled `run_trials` against the single-threaded reference.
 #[test]
 fn run_trials_matches_serial_reference() {
     let s = golden_scenario();
@@ -151,7 +150,7 @@ fn run_trials_matches_serial_reference() {
     let b = run_trials(&s, GOLDEN_TRIALS, GOLDEN_SEED);
     let serial = run_trials_serial(&s, GOLDEN_TRIALS, GOLDEN_SEED);
     assert_eq!(a.trials(), b.trials(), "run_trials is not repeatable");
-    assert_eq!(a.trials(), serial.trials(), "parallel and serial runs diverge");
+    assert_eq!(a.trials(), serial.trials(), "pooled and serial runs diverge");
     let (sa, ss) = (a.summary(), serial.summary());
     assert_eq!(sa.mean_moves(), ss.mean_moves());
     assert_eq!(sa.mean_steps(), ss.mean_steps());

@@ -37,7 +37,6 @@ const TRIALS: u64 = 2;
 /// Total steps over a sweep of the cell, measured by the scheduler's
 /// probe, forced to agent granularity at the given chunk size on one
 /// worker (deterministic: units drain in canonical order).
-#[cfg(feature = "parallel")]
 fn probed_work(chunk: usize) -> u64 {
     use ants_sim::Probe;
 
@@ -62,7 +61,6 @@ fn probed_work(chunk: usize) -> u64 {
 /// performs < 1.3x the serial work. A chunk spanning all agents has
 /// serial caps by construction, so it is the work baseline; the hinted
 /// chunk-8 sweep must land within 30% of it.
-#[cfg(feature = "parallel")]
 #[test]
 fn hinted_chunked_sweep_work_is_near_serial() {
     let serial = probed_work(64);
