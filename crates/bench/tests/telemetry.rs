@@ -107,3 +107,45 @@ fn attached_telemetry_observes_the_sweep() {
     }
     assert_eq!(trial_steps, vec![trial_steps[0]; 3], "trial-unit engine steps moved with threads");
 }
+
+fn counters_after(spec: &str, threads: usize, granularity: Granularity) -> ants_obs::Snapshot {
+    let exp = WorkloadExperiment::from_file(&bundled(spec)).expect("bundled spec loads");
+    let tele = Telemetry::new();
+    let cfg = RunConfig::smoke()
+        .with_threads(Some(threads))
+        .with_granularity(granularity)
+        .with_telemetry(Some(tele));
+    exp.run(&cfg);
+    tele.snapshot()
+}
+
+/// Exact work counts of three bundled specs at smoke effort. Trial units
+/// never speculate, so `engine_steps` is a pure function of the specs
+/// and repeats at any thread count; a change to how the engine advances
+/// agents (per step or per move run) must not move it. Each spec runs
+/// strategies with move runs, so the engine takes fewer calls than steps.
+#[test]
+fn trial_unit_engine_steps_are_pinned() {
+    for (spec, steps) in [
+        ("mixed_targets.toml", 1_920_234),
+        ("chi_tradeoff_zoo.toml", 2_119_983),
+        ("adversarial_battery.toml", 1_694_817),
+    ] {
+        let snap = counters_after(spec, 1, Granularity::Trial);
+        assert_eq!(snap.counter(Counter::EngineSteps), steps, "{spec}: engine steps moved");
+        let calls = snap.counter(Counter::EngineCalls);
+        assert!(0 < calls && calls < steps, "{spec}: {calls} engine calls for {steps} steps");
+    }
+}
+
+/// With one worker, agent chunks run in canonical order, so every
+/// cap-hint poll and clamp lands at the same step count on every run:
+/// the hint-poll cadence (one poll per 64 steps of a speculative agent)
+/// is pinned exactly.
+#[test]
+fn one_worker_hint_counters_are_pinned() {
+    let snap = counters_after("speculation_stress.toml", 1, Granularity::Agent);
+    assert_eq!(snap.counter(Counter::EngineSteps), 339_782);
+    assert_eq!(snap.counter(Counter::HintPolls), 2_314);
+    assert_eq!(snap.counter(Counter::HintClamps), 179);
+}

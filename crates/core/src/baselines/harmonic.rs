@@ -29,6 +29,9 @@ pub struct HarmonicSearch {
     state: HState,
     /// Largest phase reached (selection-complexity accounting).
     max_phase: u32,
+    /// [`plot_side`](HarmonicSearch::plot_side) of the current phase,
+    /// updated at each phase change (it costs a square root).
+    side: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -38,7 +41,7 @@ enum HState {
     /// Walk toward `dest`; `rel` is the current offset from the origin.
     GoTo { dest: Point, rel: Point },
     /// Scan the plot: a boustrophedon sweep of `side × side` cells.
-    Scan { rel: Point, row: u64, col: u64, side: u64, rightward: bool },
+    Scan { rel: Point, row: u64, col: u64, rightward: bool },
     /// Return to the origin and advance the phase.
     Return,
 }
@@ -51,7 +54,9 @@ impl HarmonicSearch {
     /// Panics if `n_agents == 0`.
     pub fn new(n_agents: u64) -> Self {
         assert!(n_agents >= 1, "need at least one agent");
-        Self { n_agents, phase_i: 1, state: HState::Sample, max_phase: 1 }
+        let mut agent = Self { n_agents, phase_i: 1, state: HState::Sample, max_phase: 1, side: 1 };
+        agent.side = agent.plot_side();
+        agent
     }
 
     /// Current phase.
@@ -73,7 +78,13 @@ impl SearchStrategy for HarmonicSearch {
     }
 
     fn step(&mut self, rng: &mut DefaultRng) -> GridAction {
-        let plot_side = self.plot_side();
+        self.step_run(rng, 1).0
+    }
+
+    /// Runs are the straight legs of the walk to the destination and the
+    /// rows of the scan; neither draws randomness.
+    fn step_run(&mut self, rng: &mut DefaultRng, max_steps: u64) -> (GridAction, u64) {
+        let max_steps = max_steps.max(1);
         match &mut self.state {
             HState::Sample => {
                 let r = 1i64 << self.phase_i.min(40);
@@ -83,56 +94,56 @@ impl SearchStrategy for HarmonicSearch {
                     rng.next_below(side as u64) as i64 - r,
                 );
                 self.state = HState::GoTo { dest, rel: Point::ORIGIN };
-                GridAction::None
+                (GridAction::None, 1)
             }
             HState::GoTo { dest, rel } => {
                 // Manhattan walk: x first, then y.
-                let dir = if rel.x != dest.x {
-                    if dest.x > rel.x {
-                        Direction::Right
-                    } else {
-                        Direction::Left
-                    }
+                let (dir, left) = if rel.x != dest.x {
+                    let dir = if dest.x > rel.x { Direction::Right } else { Direction::Left };
+                    (dir, dest.x.abs_diff(rel.x))
                 } else if rel.y != dest.y {
-                    if dest.y > rel.y {
-                        Direction::Up
-                    } else {
-                        Direction::Down
-                    }
+                    let dir = if dest.y > rel.y { Direction::Up } else { Direction::Down };
+                    (dir, dest.y.abs_diff(rel.y))
                 } else {
                     // Arrived: start scanning.
-                    let side = plot_side;
-                    self.state = HState::Scan { rel: *rel, row: 0, col: 0, side, rightward: true };
-                    return GridAction::None;
+                    self.state = HState::Scan { rel: *rel, row: 0, col: 0, rightward: true };
+                    return (GridAction::None, 1);
                 };
-                *rel = rel.step(dir);
-                GridAction::Move(dir)
+                let n = left.min(max_steps);
+                *rel = rel.step_by(dir, n);
+                (GridAction::Move(dir), n)
             }
-            HState::Scan { rel, row, col, side, rightward } => {
+            HState::Scan { rel, row, col, rightward } => {
                 // Boustrophedon: sweep a row, step up, sweep back.
-                if *col + 1 < *side {
-                    *col += 1;
+                if *col + 1 < self.side {
+                    let n = (self.side - 1 - *col).min(max_steps);
+                    *col += n;
                     let dir = if *rightward { Direction::Right } else { Direction::Left };
-                    *rel = rel.step(dir);
-                    GridAction::Move(dir)
-                } else if *row + 1 < *side {
+                    *rel = rel.step_by(dir, n);
+                    (GridAction::Move(dir), n)
+                } else if *row + 1 < self.side {
                     *row += 1;
                     *col = 0;
                     *rightward = !*rightward;
                     *rel = rel.step(Direction::Up);
-                    GridAction::Move(Direction::Up)
+                    (GridAction::Move(Direction::Up), 1)
                 } else {
                     self.state = HState::Return;
-                    GridAction::None
+                    (GridAction::None, 1)
                 }
             }
             HState::Return => {
                 self.phase_i += 1;
                 self.max_phase = self.max_phase.max(self.phase_i);
+                self.side = self.plot_side();
                 self.state = HState::Sample;
-                GridAction::Origin
+                (GridAction::Origin, 1)
             }
         }
+    }
+
+    fn emits_runs(&self) -> bool {
+        true
     }
 
     fn selection_complexity(&self) -> SelectionComplexity {
@@ -142,7 +153,7 @@ impl SearchStrategy for HarmonicSearch {
         // realisable with expected O(1) fair flips per bit by rejection).
         let i = self.max_phase;
         let coord_bits = 2 * (i + 1);
-        let scan_bits = 2 * crate::ceil_log2(self.plot_side().max(1));
+        let scan_bits = 2 * crate::ceil_log2(self.side);
         SelectionComplexity::new(coord_bits + scan_bits + 3, 1)
     }
 
@@ -186,6 +197,18 @@ mod tests {
         let one = HarmonicSearch::new(1);
         let many = HarmonicSearch::new(1024);
         assert!(one.plot_side() > many.plot_side());
+    }
+
+    #[test]
+    fn cached_plot_side_tracks_the_phase() {
+        let mut agent = HarmonicSearch::new(3);
+        let mut rng = derive_rng(5, 0);
+        while agent.phase() < 5 {
+            let _ = agent.step(&mut rng);
+            assert_eq!(agent.side, agent.plot_side(), "stale plot side at phase {}", agent.phase());
+        }
+        agent.reset();
+        assert_eq!(agent.side, agent.plot_side());
     }
 
     #[test]

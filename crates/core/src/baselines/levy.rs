@@ -83,12 +83,23 @@ impl SearchStrategy for LevyWalk {
     }
 
     fn step(&mut self, rng: &mut DefaultRng) -> GridAction {
+        self.step_run(rng, 1).0
+    }
+
+    /// A run is the rest of the current leg (a new leg draws randomness,
+    /// so a run never crosses into it even when its direction repeats).
+    fn step_run(&mut self, rng: &mut DefaultRng, max_steps: u64) -> (GridAction, u64) {
         if self.remaining == 0 {
             self.dir = Direction::ALL[rng.next_below(4) as usize];
             self.remaining = self.draw_leg(rng);
         }
-        self.remaining -= 1;
-        GridAction::Move(self.dir)
+        let n = self.remaining.min(max_steps.max(1));
+        self.remaining -= n;
+        (GridAction::Move(self.dir), n)
+    }
+
+    fn emits_runs(&self) -> bool {
+        true
     }
 
     fn selection_complexity(&self) -> SelectionComplexity {

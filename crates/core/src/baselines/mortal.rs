@@ -142,14 +142,24 @@ impl SearchStrategy for Expiring {
     }
 
     fn step(&mut self, rng: &mut DefaultRng) -> GridAction {
+        self.step_run(rng, 1).0
+    }
+
+    /// The inner strategy's runs, cut at the expiry so the agent halts
+    /// only after a run's last move.
+    fn step_run(&mut self, rng: &mut DefaultRng, max_steps: u64) -> (GridAction, u64) {
         if self.moves >= self.expiry {
-            return GridAction::None;
+            return (GridAction::None, 1);
         }
-        let action = self.inner.step(rng);
+        let (action, n) = self.inner.step_run(rng, max_steps.min(self.expiry - self.moves));
         if action.is_move() {
-            self.moves += 1;
+            self.moves += n;
         }
-        action
+        (action, n)
+    }
+
+    fn emits_runs(&self) -> bool {
+        self.inner.emits_runs()
     }
 
     fn selection_complexity(&self) -> SelectionComplexity {

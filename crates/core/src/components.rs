@@ -108,17 +108,40 @@ impl GeometricWalk {
     ///
     /// Panics if called after the walk finished.
     pub fn step(&mut self, rng: &mut DefaultRng) -> SubStep {
+        self.step_run(rng, 1).0
+    }
+
+    /// Take up to `max_steps` steps that all return the same sub-step:
+    /// `(sub-step, n)` with `1 <= n <= max_steps` (`max_steps` is
+    /// clamped to at least 1).
+    ///
+    /// A heads flip (a move) is followed by further flips for as long as
+    /// they show heads; the tails flip that ends the run is left undrawn
+    /// ([`BiasedCoin::flip_if_heads`]). So the run draws exactly the RNG
+    /// words `n` calls to [`step`](GeometricWalk::step) would, in the same
+    /// order, and leaves the walk in the same state. A tails step is a run
+    /// of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after the walk finished.
+    #[inline]
+    pub fn step_run(&mut self, rng: &mut DefaultRng, max_steps: u64) -> (SubStep, u64) {
         assert!(!self.finished, "step on a finished walk");
         if self.base.flip(rng).is_heads() {
             self.tails_run = 0;
-            SubStep::Continue(GridAction::Move(self.dir))
+            let mut n = 1;
+            while n < max_steps && self.base.flip_if_heads(rng) {
+                n += 1;
+            }
+            (SubStep::Continue(GridAction::Move(self.dir)), n)
         } else {
             self.tails_run += 1;
             if self.tails_run >= self.k {
                 self.finished = true;
-                SubStep::Finished(GridAction::None)
+                (SubStep::Finished(GridAction::None), 1)
             } else {
-                SubStep::Continue(GridAction::None)
+                (SubStep::Continue(GridAction::None), 1)
             }
         }
     }
@@ -182,6 +205,18 @@ impl SquareSearch {
     ///
     /// Panics if called after the search finished.
     pub fn step(&mut self, rng: &mut DefaultRng) -> SubStep {
+        self.step_run(rng, 1).0
+    }
+
+    /// Take up to `max_steps` steps that all return the same sub-step, as
+    /// [`GeometricWalk::step_run`]: a walk's moves come as one run,
+    /// every other step as a run of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after the search finished.
+    #[inline]
+    pub fn step_run(&mut self, rng: &mut DefaultRng, max_steps: u64) -> (SubStep, u64) {
         use ants_rng::Rng64;
         match &mut self.phase {
             SquarePhase::ChooseVertical => {
@@ -189,32 +224,28 @@ impl SquareSearch {
                 self.phase = SquarePhase::Vertical(
                     GeometricWalk::new(self.k, self.ell, dir).expect("validated in new"),
                 );
-                SubStep::Continue(GridAction::None)
+                (SubStep::Continue(GridAction::None), 1)
             }
             SquarePhase::Vertical(walk) => {
-                let s = walk.step(rng);
+                let (s, n) = walk.step_run(rng, max_steps);
                 if s.is_finished() {
                     self.phase = SquarePhase::ChooseHorizontal;
-                    SubStep::Continue(s.action())
-                } else {
-                    SubStep::Continue(s.action())
                 }
+                (SubStep::Continue(s.action()), n)
             }
             SquarePhase::ChooseHorizontal => {
                 let dir = if rng.next_bool() { Direction::Left } else { Direction::Right };
                 self.phase = SquarePhase::Horizontal(
                     GeometricWalk::new(self.k, self.ell, dir).expect("validated in new"),
                 );
-                SubStep::Continue(GridAction::None)
+                (SubStep::Continue(GridAction::None), 1)
             }
             SquarePhase::Horizontal(walk) => {
-                let s = walk.step(rng);
+                let (s, n) = walk.step_run(rng, max_steps);
                 if s.is_finished() {
                     self.phase = SquarePhase::Done;
-                    SubStep::Finished(s.action())
-                } else {
-                    SubStep::Continue(s.action())
                 }
+                (s, n)
             }
             SquarePhase::Done => panic!("step on a finished search"),
         }

@@ -8,7 +8,8 @@
 //!   where `b` is the agent's memory in bits and `1/2^ℓ` bounds its finest
 //!   coin;
 //! * [`SearchStrategy`] — the step-wise agent interface every algorithm
-//!   implements (one call = one Markov-chain transition);
+//!   implements (one `step` call = one Markov-chain transition; one
+//!   `step_run` call = a run of identical transitions);
 //! * [`NonUniformSearch`] — Algorithm 1: the simple search that knows `D`,
 //!   expected `O(D²/n + D)` moves (Theorem 3.5);
 //! * [`CoinNonUniformSearch`] — Algorithm 1 driven by composite coins

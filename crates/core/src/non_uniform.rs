@@ -57,6 +57,14 @@ impl SearchStrategy for NonUniformSearch {
         self.inner.step(rng)
     }
 
+    fn step_run(&mut self, rng: &mut DefaultRng, max_steps: u64) -> (GridAction, u64) {
+        self.inner.step_run(rng, max_steps)
+    }
+
+    fn emits_runs(&self) -> bool {
+        true
+    }
+
     fn selection_complexity(&self) -> SelectionComplexity {
         self.inner.selection_complexity()
     }
@@ -126,21 +134,29 @@ impl SearchStrategy for CoinNonUniformSearch {
     }
 
     fn step(&mut self, rng: &mut DefaultRng) -> GridAction {
+        self.step_run(rng, 1).0
+    }
+
+    fn step_run(&mut self, rng: &mut DefaultRng, max_steps: u64) -> (GridAction, u64) {
         match self.phase {
             Phase::Searching => {
-                let s = self.search.step(rng);
+                let (s, n) = self.search.step_run(rng, max_steps);
                 if s.is_finished() {
                     self.phase = Phase::Returning;
                 }
-                s.action()
+                (s.action(), n)
             }
             Phase::Returning => {
                 // One step invoking the return oracle; then a fresh iteration.
                 self.search = SquareSearch::new(self.k, self.ell).expect("validated in new");
                 self.phase = Phase::Searching;
-                GridAction::Origin
+                (GridAction::Origin, 1)
             }
         }
+    }
+
+    fn emits_runs(&self) -> bool {
+        true
     }
 
     fn selection_complexity(&self) -> SelectionComplexity {

@@ -31,6 +31,41 @@ pub trait SearchStrategy: Send {
     /// Advance one step and return the action performed.
     fn step(&mut self, rng: &mut DefaultRng) -> GridAction;
 
+    /// Advance a *run*: up to `max_steps` consecutive steps that all
+    /// return the same action, in one call. Returns `(action, n)` with
+    /// `1 <= n <= max_steps.max(1)`.
+    ///
+    /// The contract, which lets a simulator apply the run as one
+    /// axis-aligned segment:
+    ///
+    /// * the run is exactly the next `n` [`step`](SearchStrategy::step)
+    ///   calls: each returns `action`, the run draws the same RNG words in
+    ///   the same order, and it leaves the strategy in the same state (a
+    ///   strategy that must look ahead at a coin flip to end its run peeks
+    ///   at the generator and leaves the flip undrawn);
+    /// * the run never crosses a change in the footprint:
+    ///   [`selection_complexity`](SearchStrategy::selection_complexity)
+    ///   after each of the `n` steps equals its value after the last;
+    /// * [`is_halted`](SearchStrategy::is_halted) is `false` after each of
+    ///   the first `n − 1` steps.
+    ///
+    /// The default is one [`step`](SearchStrategy::step). Strategies
+    /// whose moves come in straight runs (geometric walks, Lévy legs,
+    /// straight scans) override it and [`emits_runs`](SearchStrategy::emits_runs).
+    fn step_run(&mut self, rng: &mut DefaultRng, max_steps: u64) -> (GridAction, u64) {
+        let _ = max_steps;
+        (self.step(rng), 1)
+    }
+
+    /// Can [`step_run`](SearchStrategy::step_run) return runs longer than
+    /// one step? The simulator reads this once per agent to choose between
+    /// its per-step and its per-run loop; the default `false` keeps
+    /// strategies without runs on the per-step loop, which is faster for
+    /// them.
+    fn emits_runs(&self) -> bool {
+        false
+    }
+
     /// The current selection-complexity footprint `(b, ℓ)`.
     ///
     /// For phase-based algorithms this may grow over time (the uniform

@@ -105,6 +105,12 @@ impl SearchStrategy for UniformSearch {
     }
 
     fn step(&mut self, rng: &mut DefaultRng) -> GridAction {
+        self.step_run(rng, 1).0
+    }
+
+    /// Only a search's walks come as runs: the phase changes (and with
+    /// it the footprint) on single phase-coin steps.
+    fn step_run(&mut self, rng: &mut DefaultRng, max_steps: u64) -> (GridAction, u64) {
         match &mut self.state {
             UniformState::PhaseCoin { tails_run } => {
                 let base = BiasedCoin::base(self.ell).expect("validated in new");
@@ -121,20 +127,24 @@ impl SearchStrategy for UniformSearch {
                         self.state = UniformState::PhaseCoin { tails_run: 0 };
                     }
                 }
-                GridAction::None
+                (GridAction::None, 1)
             }
             UniformState::Searching(search) => {
-                let s = search.step(rng);
+                let (s, n) = search.step_run(rng, max_steps);
                 if s.is_finished() {
                     self.state = UniformState::Returning;
                 }
-                s.action()
+                (s.action(), n)
             }
             UniformState::Returning => {
                 self.state = UniformState::PhaseCoin { tails_run: 0 };
-                GridAction::Origin
+                (GridAction::Origin, 1)
             }
         }
+    }
+
+    fn emits_runs(&self) -> bool {
+        true
     }
 
     fn selection_complexity(&self) -> SelectionComplexity {

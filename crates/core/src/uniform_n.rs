@@ -83,8 +83,14 @@ impl SearchStrategy for FullyUniformSearch {
     }
 
     fn step(&mut self, rng: &mut DefaultRng) -> GridAction {
+        self.step_run(rng, 1).0
+    }
+
+    fn step_run(&mut self, rng: &mut DefaultRng, max_steps: u64) -> (GridAction, u64) {
         let phase_before = self.inner.phase();
-        let action = self.inner.step(rng);
+        // The inner phase only advances on a single phase-coin step, so a
+        // run never crosses an epoch change.
+        let run = self.inner.step_run(rng, max_steps);
         if self.inner.phase() > phase_before {
             // One inner phase completed.
             if self.phases_left == 0 {
@@ -98,7 +104,11 @@ impl SearchStrategy for FullyUniformSearch {
                 self.phases_left -= 1;
             }
         }
-        action
+        run
+    }
+
+    fn emits_runs(&self) -> bool {
+        true
     }
 
     fn selection_complexity(&self) -> SelectionComplexity {

@@ -54,6 +54,20 @@ impl Point {
         Point::new(self.x + dx, self.y + dy)
     }
 
+    /// The point `n` steps in `dir`: the end of a straight run of `n`
+    /// moves.
+    ///
+    /// ```
+    /// use ants_grid::{Direction, Point};
+    /// assert_eq!(Point::new(1, 2).step_by(Direction::Left, 3), Point::new(-2, 2));
+    /// assert_eq!(Point::ORIGIN.step_by(Direction::Up, 1), Point::ORIGIN.step(Direction::Up));
+    /// ```
+    pub fn step_by(&self, dir: Direction, n: u64) -> Point {
+        let (dx, dy) = dir.delta();
+        let n = n as i64;
+        Point::new(self.x + dx * n, self.y + dy * n)
+    }
+
     /// Are the two points grid-adjacent (exactly one hop apart)?
     pub fn is_adjacent(&self, other: &Point) -> bool {
         self.dist_l1(other) == 1

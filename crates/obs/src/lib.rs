@@ -65,6 +65,9 @@ pub enum Counter {
     PoolReduces,
     /// Agent steps simulated by the engine.
     EngineSteps,
+    /// Stepper calls the engine made to simulate them: one per step, or
+    /// one per move run for strategies that advance in runs.
+    EngineCalls,
     /// Shared cap-hint reads (per-agent initial read + periodic polls).
     HintPolls,
     /// Cap reductions taken from the hint (at agent start or mid-run).
@@ -94,7 +97,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the catalogue.
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 20;
 
     /// Every counter, in discriminant order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -105,6 +108,7 @@ impl Counter {
         Counter::PoolIdleNs,
         Counter::PoolReduces,
         Counter::EngineSteps,
+        Counter::EngineCalls,
         Counter::HintPolls,
         Counter::HintClamps,
         Counter::HintStepsSaved,
@@ -129,6 +133,7 @@ impl Counter {
             Counter::PoolIdleNs => "pool_idle_ns",
             Counter::PoolReduces => "pool_reduces",
             Counter::EngineSteps => "engine_steps",
+            Counter::EngineCalls => "engine_calls",
             Counter::HintPolls => "hint_polls",
             Counter::HintClamps => "hint_clamps",
             Counter::HintStepsSaved => "hint_steps_saved",

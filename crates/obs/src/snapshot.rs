@@ -215,8 +215,9 @@ impl Snapshot {
 
     fn engine_body(&self) -> String {
         format!(
-            "\"steps\":{},\"hint_polls\":{},\"hint_clamps\":{},\"hint_steps_saved\":{}",
+            "\"steps\":{},\"calls\":{},\"hint_polls\":{},\"hint_clamps\":{},\"hint_steps_saved\":{}",
             self.counter(Counter::EngineSteps),
+            self.counter(Counter::EngineCalls),
             self.counter(Counter::HintPolls),
             self.counter(Counter::HintClamps),
             self.counter(Counter::HintStepsSaved),
@@ -362,6 +363,8 @@ impl Snapshot {
 
     fn parse_engine(&mut self, doc: &Jv) -> Result<(), String> {
         self.counters[Counter::EngineSteps as usize] = req_u64(doc, "engine", "steps")?;
+        // Optional: snapshots written before the counter existed lack it.
+        self.counters[Counter::EngineCalls as usize] = opt_u64(doc, "calls");
         self.counters[Counter::HintPolls as usize] = req_u64(doc, "engine", "hint_polls")?;
         self.counters[Counter::HintClamps as usize] = req_u64(doc, "engine", "hint_clamps")?;
         self.counters[Counter::HintStepsSaved as usize] =
@@ -455,6 +458,8 @@ mod tests {
         let mut s = Snapshot { uptime_ns: 12_345, ..Snapshot::default() };
         s.counters[Counter::PoolUnits as usize] = 28;
         s.counters[Counter::PoolSteals as usize] = 19;
+        s.counters[Counter::EngineSteps as usize] = 9_000;
+        s.counters[Counter::EngineCalls as usize] = 1_000;
         s.counters[Counter::HintStepsSaved as usize] = 7_000;
         s.counters[Counter::ServeHits as usize] = 3;
         s.worker_units = vec![9, 8, 6, 5];
@@ -542,6 +547,25 @@ mod tests {
         assert_eq!(parsed.phase_total_ns(Phase::DpSolve), 0);
         assert_eq!(parsed.phase_count[Phase::DpSolve as usize], 0);
         assert_eq!(parsed.counter(Counter::PoolUnits), 28, "pre-dp fields still load");
+    }
+
+    #[test]
+    fn engine_lines_without_calls_still_parse() {
+        // An engine line written before `calls` existed parses, with the
+        // call count zero and every other engine counter loaded.
+        let old = format!(
+            "{{\"schema\":\"{SNAPSHOT_SCHEMA}\",\"subsystem\":\"engine\",\"steps\":40,\
+             \"hint_polls\":3,\"hint_clamps\":1,\"hint_steps_saved\":9}}\n"
+        );
+        let parsed = Snapshot::parse_ndjson(&old).unwrap();
+        assert_eq!(parsed.counter(Counter::EngineSteps), 40);
+        assert_eq!(parsed.counter(Counter::EngineCalls), 0);
+        assert_eq!(parsed.counter(Counter::HintClamps), 1);
+        let doc = Jv::parse(&sample().to_inline_json()).unwrap();
+        assert_eq!(
+            doc.get("engine").and_then(|e| e.get("calls")).and_then(Jv::as_u64),
+            Some(1_000)
+        );
     }
 
     #[test]

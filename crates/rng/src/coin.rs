@@ -8,6 +8,7 @@
 use crate::dyadic::DyadicProb;
 use crate::ledger::ProbabilityLedger;
 use crate::rng::Rng64;
+use crate::Xoshiro256PlusPlus;
 
 /// The outcome of a coin flip.
 ///
@@ -104,6 +105,29 @@ impl BiasedCoin {
     pub fn fair() -> Self {
         Self::new(DyadicProb::half())
     }
+
+    /// Flip only if the flip shows heads: on heads, consume the flip
+    /// exactly as [`Coin::flip`] would and return `true`; on tails,
+    /// return `false` and leave `rng` untouched, so the tails flip is
+    /// still the next one drawn.
+    ///
+    /// This lets a caller take a run of heads in one loop without
+    /// drawing past its end (see `GeometricWalk`'s move runs in
+    /// `ants-core`).
+    #[inline]
+    pub fn flip_if_heads(&self, rng: &mut Xoshiro256PlusPlus) -> bool {
+        match self.p_tails.u64_threshold() {
+            None => false,
+            Some(0) => true,
+            Some(t) => {
+                let heads = rng.peek_u64() >= t;
+                if heads {
+                    rng.next_u64();
+                }
+                heads
+            }
+        }
+    }
 }
 
 impl Coin for BiasedCoin {
@@ -159,6 +183,30 @@ mod tests {
         let coin = BiasedCoin::base(3).unwrap();
         let f = frequency(&coin, 200_000, 2);
         assert!((f - 0.125).abs() < 0.01, "1/8 frequency {f}");
+    }
+
+    #[test]
+    fn flip_if_heads_matches_flip_and_keeps_tails() {
+        for coin in [
+            BiasedCoin::base(2).unwrap(),
+            BiasedCoin::fair(),
+            BiasedCoin::new(DyadicProb::ONE),
+            BiasedCoin::new(DyadicProb::ZERO),
+        ] {
+            let mut a = Xoshiro256PlusPlus::seed_from_u64(6);
+            let mut b = a.clone();
+            for _ in 0..500 {
+                let before = a.clone();
+                let heads = coin.flip_if_heads(&mut a);
+                assert_eq!(heads, coin.flip(&mut b).is_heads());
+                if heads {
+                    assert_eq!(a, b, "heads consumes the flip");
+                } else {
+                    assert_eq!(a, before, "tails leaves the generator untouched");
+                    a = b.clone();
+                }
+            }
+        }
     }
 
     #[test]

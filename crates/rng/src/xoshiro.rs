@@ -53,6 +53,15 @@ impl Xoshiro256PlusPlus {
         self.s
     }
 
+    /// The word the next [`next_u64`](Rng64::next_u64) call will return,
+    /// without advancing the state. xoshiro256++ computes its output from
+    /// the state *before* the update, so a peek costs one add, one rotate
+    /// and one add.
+    #[inline]
+    pub(crate) fn peek_u64(&self) -> u64 {
+        self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0])
+    }
+
     /// Advance the state by `2^128` steps.
     ///
     /// Produces a substream guaranteed not to overlap the parent for the
@@ -90,7 +99,7 @@ impl SeedableRng64 for Xoshiro256PlusPlus {
 impl Rng64 for Xoshiro256PlusPlus {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        let result = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);
+        let result = self.peek_u64();
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -108,6 +117,16 @@ mod tests {
 
     /// Reference vector from the xoshiro256++ C implementation with state
     /// {1, 2, 3, 4}.
+    #[test]
+    fn peek_is_the_next_word_and_does_not_advance() {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(11);
+        for _ in 0..100 {
+            let peeked = rng.peek_u64();
+            assert_eq!(rng.peek_u64(), peeked, "a peek must not advance the state");
+            assert_eq!(rng.next_u64(), peeked);
+        }
+    }
+
     #[test]
     fn reference_vector() {
         let expected: [u64; 10] = [

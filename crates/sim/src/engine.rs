@@ -150,6 +150,9 @@ struct AgentRun {
     /// Steps actually simulated (work instrumentation; timing-dependent
     /// under a live hint, never part of a [`TrialResult`]).
     work: u64,
+    /// Stepper calls that simulated them: one per step on the per-step
+    /// loop, one per move run on the run loop (telemetry only).
+    calls: u64,
     /// Shared-hint reads performed during the run (telemetry only).
     hint_polls: u64,
     /// Mid-run cap reductions taken from the hint (telemetry only).
@@ -166,6 +169,35 @@ struct AgentRun {
     curve: (u32, u32),
 }
 
+/// One agent's move cap, the shared hint that may lower it mid-run, and
+/// the loop's telemetry counts.
+struct CapPolicy<'h> {
+    cap: u64,
+    hint: Option<(&'h CapHint, usize)>,
+    hint_polls: u64,
+    hint_clamps: u64,
+}
+
+impl CapPolicy<'_> {
+    /// Poll the hint when the agent's step count is at a poll point (every
+    /// `HINT_POLL_MASK + 1` steps), and lower the cap toward a published
+    /// find — but never below the moves already simulated: the recorded
+    /// stop must be where the loop actually halted.
+    #[inline]
+    fn poll(&mut self, stepper: &AgentStepper) {
+        if let Some((h, chunk_idx)) = self.hint {
+            if stepper.steps() & HINT_POLL_MASK == 0 {
+                self.hint_polls += 1;
+                let hinted = h.cap_for(chunk_idx);
+                if hinted < self.cap {
+                    self.cap = hinted.max(stepper.moves());
+                    self.hint_clamps += 1;
+                }
+            }
+        }
+    }
+}
+
 /// Simulate one agent until it finds `target`, exhausts `cap` moves, or
 /// (with a guess ceiling) keeps aborting overlong excursions.
 ///
@@ -177,12 +209,17 @@ struct AgentRun {
 /// span [`ChiArena::chi_at`] evaluates. With a `hint`, the cap is
 /// periodically lowered toward finds published by earlier chunks — never
 /// below what the agent has already run, and never below the serial cap.
+///
+/// An agent whose strategy emits move runs, and that records no
+/// breakpoint curve, advances a run per stepper call
+/// ([`run_in_runs`]); every other agent advances a step per call. The
+/// choice is made once per agent, and both loops stop at the same step.
 fn run_agent(
     scenario: &Scenario,
     trial_seed: u64,
     target: Point,
     agent_idx: usize,
-    mut cap: u64,
+    cap: u64,
     arena: Option<&mut ChiArena>,
     hint: Option<(&CapHint, usize)>,
 ) -> AgentRun {
@@ -194,44 +231,36 @@ fn run_agent(
     // fixed-parameter walks — the bulk of speculative-chunk overhead.
     let mut arena = arena.filter(|_| !stepper.chi_static());
     let start = arena.as_deref().map_or(0, ChiArena::mark);
-    let mut last_chi: Option<SelectionComplexity> = None;
-    let mut found = false;
-    let mut hint_polls = 0u64;
-    let mut hint_clamps = 0u64;
-    // A target is "found" when the agent's position coincides with it;
-    // the origin case is excluded by TargetPlacement's invariants. The
-    // loop is bounded by moves, so a permanently halted strategy (a
-    // mortal wrapper past its expiry never moves again) must break out
-    // explicitly.
-    while stepper.moves() < cap && !stepper.halted() {
-        if let Some((h, chunk_idx)) = hint {
-            if stepper.steps() & HINT_POLL_MASK == 0 {
-                hint_polls += 1;
-                let hinted = h.cap_for(chunk_idx);
-                if hinted < cap {
-                    // Lower toward the published find, but never below
-                    // the moves already simulated: the recorded stop must
-                    // be where the loop actually halted.
-                    cap = hinted.max(stepper.moves());
-                    hint_clamps += 1;
+    let mut policy = CapPolicy { cap, hint, hint_polls: 0, hint_clamps: 0 };
+    let (found, calls) = if arena.is_none() && stepper.emits_runs() {
+        run_in_runs(&mut stepper, &mut policy)
+    } else {
+        let mut last_chi: Option<SelectionComplexity> = None;
+        let mut found = false;
+        // A target is "found" when the agent's position coincides with
+        // it; the origin case is excluded by TargetPlacement's
+        // invariants. The loop is bounded by moves, so a permanently
+        // halted strategy (a mortal wrapper past its expiry never moves
+        // again) must break out explicitly.
+        while stepper.moves() < policy.cap && !stepper.halted() {
+            policy.poll(&stepper);
+            let out = stepper.step();
+            if out.found {
+                found = true;
+                break;
+            }
+            if out.moved {
+                if let Some(a) = arena.as_deref_mut() {
+                    let at = stepper.chi();
+                    if last_chi != Some(at) {
+                        a.push(stepper.moves(), at);
+                        last_chi = Some(at);
+                    }
                 }
             }
         }
-        let out = stepper.step();
-        if out.found {
-            found = true;
-            break;
-        }
-        if out.moved {
-            if let Some(a) = arena.as_deref_mut() {
-                let at = stepper.chi();
-                if last_chi != Some(at) {
-                    a.push(stepper.moves(), at);
-                    last_chi = Some(at);
-                }
-            }
-        }
-    }
+        (found, stepper.steps())
+    };
     // Between aborts the selection-complexity footprint is monotone over
     // an agent's lifetime (static for fixed automata, non-decreasing for
     // phase-based strategies whose counters widen), so the stepper's
@@ -239,15 +268,45 @@ fn run_agent(
     // run's maximum.
     let end = arena.map_or(start, |a| a.mark());
     AgentRun {
-        cap,
+        cap: policy.cap,
         moves: found.then(|| stepper.moves()),
         steps: found.then(|| stepper.steps()),
         work: stepper.steps(),
-        hint_polls,
-        hint_clamps,
+        calls,
+        hint_polls: policy.hint_polls,
+        hint_clamps: policy.hint_clamps,
         chi: stepper.chi(),
         curve: (start, end),
     }
+}
+
+/// The per-run loop of [`run_agent`]: the per-step loop's stop rules,
+/// applied once per move run. Each run is cut at the cap and, for a
+/// hinted agent, at the next poll point, so the cap, the halt check and
+/// the hint polls see the same step counts as the per-step loop and the
+/// agent stops at the same step. Returns whether the agent found the
+/// target, and the stepper calls it took.
+///
+/// Kept out of line: inlined into [`run_agent`], it slowed the per-step
+/// loop of strategies without runs.
+#[inline(never)]
+fn run_in_runs(stepper: &mut AgentStepper, policy: &mut CapPolicy<'_>) -> (bool, u64) {
+    let mut calls = 0u64;
+    while stepper.moves() < policy.cap && !stepper.halted() {
+        policy.poll(stepper);
+        // At least one step: after a hint clamps the cap to the moves
+        // already taken, the per-step loop still takes the step it polled
+        // before.
+        let mut max = policy.cap.saturating_sub(stepper.moves()).max(1);
+        if policy.hint.is_some() {
+            max = max.min(HINT_POLL_MASK + 1 - (stepper.steps() & HINT_POLL_MASK));
+        }
+        calls += 1;
+        if stepper.step_run(max).found {
+            return (true, calls);
+        }
+    }
+    (false, calls)
 }
 
 /// Aggregated [`CapHint`] effectiveness counters for one chunk run —
@@ -300,6 +359,14 @@ impl ChunkRun {
     /// [`TrialResult`].
     pub fn work(&self) -> u64 {
         self.agents.iter().map(|a| a.work).sum()
+    }
+
+    /// Stepper calls that simulated [`work`](ChunkRun::work): equal to it
+    /// for strategies advanced a step per call, below it where the engine
+    /// advanced whole move runs. Timing-dependent like `work`; telemetry
+    /// only.
+    pub(crate) fn calls(&self) -> u64 {
+        self.agents.iter().map(|a| a.calls).sum()
     }
 
     /// Aggregated [`CapHint`] effectiveness counters for this chunk —

@@ -20,8 +20,10 @@
 //!   exact backend's curve solves, E4's walk samples), in unit order;
 //! * [`Summary`] — aggregate statistics with confidence intervals;
 //! * [`AgentStepper`] — the one stepping core every execution mode
-//!   drives (trial engine, round model, observation layer): one call,
-//!   one Markov transition, full engine semantics;
+//!   drives (trial engine, round model, observation layer): one `step`
+//!   call is one Markov transition with full engine semantics, one
+//!   `step_run` call a whole run of identical transitions (the trial
+//!   engine's loop for strategies that move in straight runs);
 //! * [`observe`] / [`run_observed_sweep`] — pluggable deterministic
 //!   observers (coverage, first-visit times, round traces, first finder,
 //!   chi footprint) over fixed round horizons, scheduled across the same

@@ -529,6 +529,7 @@ pub fn run_sweep_with(jobs: &[SweepJob], opts: &SweepOptions) -> Vec<Outcome> {
             opts.add_work(chunk.work());
             if let Some(t) = tele {
                 t.add(w, Counter::EngineSteps, chunk.work());
+                t.add(w, Counter::EngineCalls, chunk.calls());
             }
             Out::Trial(plan.reduce(std::slice::from_ref(&chunk)))
         }
@@ -539,6 +540,7 @@ pub fn run_sweep_with(jobs: &[SweepJob], opts: &SweepOptions) -> Vec<Outcome> {
             opts.add_work(run.work());
             if let Some(t) = tele {
                 t.add(w, Counter::EngineSteps, run.work());
+                t.add(w, Counter::EngineCalls, run.calls());
                 let h = run.hint_stats();
                 t.add(w, Counter::HintPolls, h.polls);
                 t.add(w, Counter::HintClamps, h.clamps);

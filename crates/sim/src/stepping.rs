@@ -17,6 +17,12 @@
 //!    ceiling tripped, abort the excursion: sample the
 //!    selection-complexity footprint, tell the strategy, teleport home.
 //!
+//! [`AgentStepper::step_run`] advances a whole run of identical actions
+//! (a straight segment of moves, see `SearchStrategy::step_run`) in one
+//! call, with the same semantics as that many `step` calls. The trial
+//! engine uses it for strategies that emit runs; the round model and the
+//! observers, which look at every transition, stay on `step`.
+//!
 //! Because the stepper is a pure function of its constructor inputs (the
 //! strategy instance and the derived RNG stream), every caller that
 //! builds identical steppers sees identical trajectories — this is what
@@ -26,7 +32,7 @@
 //! `crates/sim/tests/observers.rs`).
 
 use crate::scenario::{Scenario, StrategyFactory};
-use ants_core::{apply_action, GridAction, SearchStrategy, SelectionComplexity};
+use ants_core::{GridAction, SearchStrategy, SelectionComplexity};
 use ants_grid::Point;
 use ants_rng::{derive_rng, DefaultRng};
 
@@ -128,15 +134,59 @@ impl AgentStepper {
     /// sub-step order, which is part of the determinism contract).
     pub fn step(&mut self) -> StepOutcome {
         let action = self.strategy.step(&mut self.rng);
-        self.steps += 1;
-        let moved = action.is_move();
-        if moved {
-            self.moves += 1;
-            self.guess_moves += 1;
-        } else if action == GridAction::Origin {
-            self.guess_moves = 0;
+        self.apply(action, 1)
+    }
+
+    /// Advance a run of up to `max_steps` transitions (at least one) that
+    /// all take the same action, and return the outcome of its last
+    /// transition. The result — position, move and step counts, the
+    /// first find, the footprint, and the strategy and RNG state — is
+    /// exactly that of as many [`step`](AgentStepper::step) calls as the
+    /// run took.
+    ///
+    /// The stepper cuts the run so that only its last transition can
+    /// reach the target or trip the guess ceiling: it never asks for more
+    /// moves than are left before the ceiling, nor, when the agent stands
+    /// on the target's row or column, for more than the distance to it.
+    /// A straight segment that is not on that line cannot reach the
+    /// target, so both checks stay O(1) per run.
+    pub fn step_run(&mut self, max_steps: u64) -> StepOutcome {
+        let mut max = max_steps;
+        if let Some(ceiling) = self.ceiling {
+            max = max.min(ceiling.saturating_sub(self.guess_moves));
         }
-        self.pos = apply_action(self.pos, action);
+        if let Some(t) = self.target {
+            if t.x == self.pos.x || t.y == self.pos.y {
+                max = max.min(self.pos.dist_l1(&t));
+            }
+        }
+        let max = max.max(1);
+        let (action, n) = self.strategy.step_run(&mut self.rng, max);
+        debug_assert!((1..=max).contains(&n), "run of {n} outside 1..={max}");
+        self.apply(action, n)
+    }
+
+    /// Account `n` transitions that each took `action`: steps 2–5 of the
+    /// module docs, once for the whole run (the caller guarantees that
+    /// only the last transition can find the target or trip the ceiling).
+    /// Forced inline: `step` is the whole per-step path, and an
+    /// out-of-line `apply` measured slower there.
+    #[inline(always)]
+    fn apply(&mut self, action: GridAction, n: u64) -> StepOutcome {
+        self.steps += n;
+        let moved = action.is_move();
+        match action {
+            GridAction::Move(d) => {
+                self.moves += n;
+                self.guess_moves += n;
+                self.pos = self.pos.step_by(d, n);
+            }
+            GridAction::Origin => {
+                self.guess_moves = 0;
+                self.pos = Point::ORIGIN;
+            }
+            GridAction::None => {}
+        }
         let pos_after_move = self.pos;
         let found = self.target == Some(self.pos);
         if found && self.found_at.is_none() {
@@ -205,6 +255,14 @@ impl AgentStepper {
     /// move (the speculative-chunk breakpoint curves) can skip it.
     pub fn chi_static(&self) -> bool {
         self.strategy.selection_complexity_is_static()
+    }
+
+    /// Does the strategy advance in runs longer than one transition
+    /// (`SearchStrategy::emits_runs`)? Callers that can use
+    /// [`step_run`](AgentStepper::step_run) read this once per agent to
+    /// choose their loop.
+    pub(crate) fn emits_runs(&self) -> bool {
+        self.strategy.emits_runs()
     }
 }
 

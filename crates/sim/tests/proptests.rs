@@ -1,9 +1,12 @@
 //! Property-based tests for the simulation engine.
 
-use ants_core::baselines::{RandomWalk, SpiralSearch};
-use ants_core::NonUniformSearch;
-use ants_grid::{Rect, TargetPlacement};
-use ants_sim::{coverage, run_trial, run_trials, RoundExecutor, Scenario};
+use ants_core::baselines::{Expiring, HarmonicSearch, LevyWalk, RandomWalk, SpiralSearch};
+use ants_core::{CoinNonUniformSearch, NonUniformSearch, SearchStrategy, UniformSearch};
+use ants_grid::{Point, Rect, TargetPlacement};
+use ants_rng::Rng64;
+use ants_sim::{
+    coverage, run_trial, run_trials, AgentStepper, RoundExecutor, Scenario, StepOutcome,
+};
 use proptest::prelude::*;
 
 fn scenario(n: usize, d: u64, budget: u64, spiral: bool) -> Scenario {
@@ -18,8 +21,127 @@ fn scenario(n: usize, d: u64, budget: u64, spiral: bool) -> Scenario {
     }
 }
 
+/// Strategies that advance in runs, plus a per-step control.
+fn run_strategy(kind: u8, d: u64) -> Box<dyn SearchStrategy> {
+    match kind % 7 {
+        0 => Box::new(NonUniformSearch::new(d).expect("valid")),
+        1 => Box::new(CoinNonUniformSearch::new(d, 2).expect("valid")),
+        2 => Box::new(UniformSearch::new(1, 4, 2).expect("valid")),
+        3 => Box::new(HarmonicSearch::new(4)),
+        4 => Box::new(LevyWalk::new(2.0, 64)),
+        5 => Box::new(Expiring::new(Box::new(NonUniformSearch::new(d).expect("valid")), 3_000)),
+        _ => Box::new(RandomWalk::new()),
+    }
+}
+
+/// A one-agent scenario running `run_strategy(kind, d)`. The ball
+/// placement accepts any ceiling; tests hand the stepper its target.
+fn run_scenario(kind: u8, d: u64, ceiling: Option<u64>) -> Scenario {
+    let b = Scenario::builder()
+        .agents(1)
+        .target(TargetPlacement::UniformInBall { distance: 50 })
+        .move_budget(1_000_000)
+        .strategy(move |_| run_strategy(kind, d));
+    match ceiling {
+        Some(c) => b.guess_move_ceiling(c).build(),
+        None => b.build(),
+    }
+}
+
+/// Advance `by_run` one run of at most `max` transitions and `by_step`
+/// one transition at a time through the same transitions. They must
+/// agree on the run's last outcome and on all stepper state, and no
+/// transition before the last may find the target or abort the guess.
+fn check_run(by_run: &mut AgentStepper, by_step: &mut AgentStepper, max: u64) -> StepOutcome {
+    let out = by_run.step_run(max);
+    let taken = by_run.steps() - by_step.steps();
+    assert!((1..=max.max(1)).contains(&taken), "run of {taken} at max {max}");
+    for i in 1..=taken {
+        let step = by_step.step();
+        if i < taken {
+            assert_eq!(step.action, out.action, "transition {i} of {taken}");
+            assert!(!step.found && !step.aborted, "transition {i} of {taken} ended the run");
+        } else {
+            assert_eq!(step, out, "last transition of {taken}");
+        }
+    }
+    assert_eq!(by_run.pos(), by_step.pos());
+    assert_eq!(by_run.moves(), by_step.moves());
+    assert_eq!(by_run.found_at(), by_step.found_at());
+    assert_eq!(by_run.chi(), by_step.chi());
+    out
+}
+
+/// A run bound: mostly short, sometimes 1 or unbounded.
+fn pick_max(pick: &mut impl Rng64) -> u64 {
+    match pick.next_below(8) {
+        0 => u64::MAX,
+        1 => 1,
+        _ => 1 + pick.next_below(80),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `AgentStepper::step_run(max)` equals at most `max` `step()` calls,
+    /// for random targets, guess ceilings and run bounds — also after a
+    /// find, when the stepper keeps going.
+    #[test]
+    fn stepper_step_run_is_repeated_step(
+        kind in any::<u8>(),
+        d in 2u64..200,
+        tx in -40i64..41,
+        ty in -40i64..41,
+        ceiling in 0u64..300,
+        seed in any::<u64>(),
+    ) {
+        let target = if (tx, ty) == (0, 0) { Point::new(1, 0) } else { Point::new(tx, ty) };
+        let s = run_scenario(kind, d, (ceiling >= 2).then_some(ceiling));
+        let mut by_run = AgentStepper::for_scenario(&s, seed, Some(target), 0);
+        let mut by_step = AgentStepper::for_scenario(&s, seed, Some(target), 0);
+        let mut pick = ants_rng::derive_rng(seed, 5);
+        for _ in 0..3_000 {
+            check_run(&mut by_run, &mut by_step, pick_max(&mut pick));
+        }
+    }
+
+    /// A target on a run's first, middle or last cell stops the run
+    /// there: the stepper cuts runs on the target's line at the target.
+    /// The run is found target-blind first, then replayed with the target
+    /// on it.
+    #[test]
+    fn stepper_runs_stop_on_the_target(
+        kind in 0u8..6,
+        seed in any::<u64>(),
+        which in 0u8..3,
+    ) {
+        let s = run_scenario(kind, 64, None);
+        let mut blind = AgentStepper::for_scenario(&s, seed, None, 0);
+        let mut pick = ants_rng::derive_rng(seed, 6);
+        let mut target = None;
+        for _ in 0..20_000 {
+            let start = blind.pos();
+            let out = blind.step_run(pick_max(&mut pick));
+            let len = out.pos_after_move.dist_l1(&start);
+            if let (ants_core::GridAction::Move(d), true) = (out.action, len >= 3) {
+                let j = [1, len / 2, len][which as usize];
+                let t = start.step_by(d, j);
+                if t != Point::ORIGIN {
+                    target = Some(t);
+                    break;
+                }
+            }
+        }
+        let target = target.expect("a run of at least three moves");
+        let mut by_run = AgentStepper::for_scenario(&s, seed, Some(target), 0);
+        let mut by_step = AgentStepper::for_scenario(&s, seed, Some(target), 0);
+        let mut pick = ants_rng::derive_rng(seed, 6);
+        while by_run.found_at().is_none() {
+            check_run(&mut by_run, &mut by_step, pick_max(&mut pick));
+        }
+        prop_assert_eq!(by_run.pos(), target);
+    }
 
     /// A trial is a pure function of its seed.
     #[test]
@@ -121,6 +243,25 @@ proptest! {
             prop_assert!(sum.mean_steps() >= sum.mean_moves());
         }
     }
+}
+
+/// A guess ceiling below the walks' typical length cuts runs at the
+/// ceiling: the abort lands on a run's last move, and the stepper agrees
+/// with per-step stepping through it.
+#[test]
+fn stepper_ceiling_aborts_on_a_runs_last_move() {
+    let s = run_scenario(0, 1 << 10, Some(5));
+    let mut by_run = AgentStepper::for_scenario(&s, 7, Some(Point::new(300, 300)), 0);
+    let mut by_step = AgentStepper::for_scenario(&s, 7, Some(Point::new(300, 300)), 0);
+    let mut aborts = 0;
+    for _ in 0..2_000 {
+        let out = check_run(&mut by_run, &mut by_step, u64::MAX);
+        if out.aborted && out.moved {
+            aborts += 1;
+            assert_eq!(by_run.pos(), Point::ORIGIN);
+        }
+    }
+    assert!(aborts > 10, "a 5-move ceiling must cut long walks, saw {aborts} aborts");
 }
 
 /// Non-proptest regression: the engine's early-cap optimisation does not

@@ -171,3 +171,82 @@ proptest! {
         }
     }
 }
+
+/// Every strategy the zoo can build, runs or no runs.
+const ZOO: [&str; 19] = [
+    "randomwalk",
+    "spiral",
+    "nonuniform(dist)",
+    "coin(dist, 1)",
+    "coin(dist, 2)",
+    "uniform(1, agents, 2)",
+    "uniform(2, agents, 1)",
+    "fullyuniform(2, 2)",
+    "harmonic(agents)",
+    "levy(2.5, 64)",
+    "automaton(walk)",
+    "automaton(lazy)",
+    "automaton(line)",
+    "automaton(drift, 3)",
+    "automaton(cycle, 3)",
+    "automaton(alg1, 3)",
+    "automaton(pfa, 4, 2, 7)",
+    "mortal(randomwalk, 64)",
+    "mortal(nonuniform(dist), 500)",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `step_run(max)` is exactly `n` repeated `step` calls, for every zoo
+    /// strategy: the same action each time, the same RNG state after, the
+    /// same footprint after each of the `n` steps, no halt before the
+    /// run's last step, and `1 <= n <= max` at every `max` (including
+    /// runs cut at 1, at a poll-sized bound, and unbounded).
+    #[test]
+    fn step_run_is_repeated_step(
+        dist in 2u64..300,
+        agents in 1u64..64,
+        seed in any::<u64>(),
+    ) {
+        use ants_rng::{derive_rng, Rng64};
+        for text in ZOO {
+            let factory = ZooStrategy::parse(text)
+                .and_then(|z| z.resolve(dist, agents))
+                .expect("zoo entries resolve")
+                .factory();
+            let (mut by_run, mut by_step) = (factory(0), factory(0));
+            let (mut rng_run, mut rng_step) = (derive_rng(seed, 3), derive_rng(seed, 3));
+            let mut pick = derive_rng(seed, 4);
+            let mut longest = 0;
+            for _ in 0..1_500 {
+                let max = match pick.next_below(8) {
+                    0 => u64::MAX,
+                    1 => 1,
+                    _ => 1 + pick.next_below(64),
+                };
+                let (action, n) = by_run.step_run(&mut rng_run, max);
+                prop_assert!((1..=max).contains(&n), "{text}: run of {n} at max {max}");
+                prop_assert!(n == 1 || by_run.emits_runs(), "{text}: undeclared run of {n}");
+                longest = longest.max(n);
+                for i in 1..=n {
+                    prop_assert_eq!(by_step.step(&mut rng_step), action, "{}: step {} of {}", text, i, n);
+                    prop_assert_eq!(
+                        by_step.selection_complexity(),
+                        by_run.selection_complexity(),
+                        "{}: footprint changed inside a run", text
+                    );
+                    if i < n {
+                        prop_assert!(!by_step.is_halted(), "{text}: halted inside a run");
+                    }
+                }
+                prop_assert_eq!(&rng_run, &rng_step, "{}: RNG streams diverged", text);
+                prop_assert_eq!(by_run.is_halted(), by_step.is_halted());
+            }
+            // The property is vacuous for run strategies that never ran.
+            if by_run.emits_runs() {
+                prop_assert!(longest > 1, "{text}: no run longer than one step");
+            }
+        }
+    }
+}
